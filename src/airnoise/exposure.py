@@ -237,19 +237,6 @@ def write_gini_series(series: GiniSeries, dest) -> None:
         dest.write(f"{e.hour.isoformat(timespec='minutes')},{g},{e.exposed_total!r},{e.mean_exposure!r}\n")
 
 
-def write_comparison(rows: list[dict], dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_comparison(rows, fh)
-        return
-    dest.write("hour_start,defacto_total,residential_total,delta\n")
-    for r in rows:
-        dest.write(
-            f"{r['hour'].isoformat(timespec='minutes')},"
-            f"{r['defacto_total']!r},{r['residential_total']!r},{r['delta']!r}\n"
-        )
-
-
 def write_rotation(correlations: dict[tuple[str, str], float], dest) -> None:
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:

@@ -18,8 +18,3 @@ def substream(seed: int, name: str) -> np.random.Generator:
     tag = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), tag)))
 
-
-def substream_seed(seed: int, name: str) -> int:
-    """Stable scalar seed for consumers that take an int rather than a Generator."""
-    tag = zlib.crc32(name.encode("utf-8"))
-    return int(np.random.SeedSequence(entropy=(int(seed), tag)).generate_state(1)[0])

@@ -451,6 +451,3 @@ def write_scenario(config: ScenarioConfig, out_dir) -> tuple[Bundle, GroundTruth
     )
     return bundle, truth
 
-
-def load_ground_truth(path) -> GroundTruth:
-    return GroundTruth.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -76,7 +76,7 @@ def r_squared(a: Sequence[float], b: Sequence[float]) -> float:
     if vx == 0.0 or vy == 0.0:
         raise ZeroVariance("a constant series has no correlation")
     r = float(np.dot(dx, dy)) / np.sqrt(vx * vy)
-    return min(r * r, 1.0)
+    return float(min(r * r, 1.0))
 
 
 def pct_change(values: Sequence[float]) -> list[float]:

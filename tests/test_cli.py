@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -156,3 +157,27 @@ def test_report_shape(small_report):
     assert set(doc["model"]) == {"takeoff", "landing"}
     assert len(doc["shap"]["takeoff"]["summary"]) == 22
     assert {r["nmt_a"] for r in doc["rotation"]}
+
+
+# columns that hold identifiers or timestamps; every other cell is a number
+TEXT_COLUMNS = {"key", "tract_id", "nmt_id", "hour_start", "operation", "source_nmt",
+                "nmt_a", "nmt_b", "feature", "kind"}
+
+
+def test_report_csv_numeric_cells_parse(small_report):
+    csvs = sorted(small_report.glob("*.csv"))
+    assert any(p.name.startswith("shap_values_") for p in csvs)
+    for path in csvs:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        header = rows[0]
+        for row in rows[1:]:
+            for col, cell in zip(header, row):
+                if col in TEXT_COLUMNS or cell == "":
+                    continue
+                if path.name == "validation.csv" and row[0] == "diurnal":
+                    continue    # the value of a diurnal row is its class label
+                try:
+                    float(cell)
+                except ValueError:
+                    pytest.fail(f"{path.name}: column {col!r} holds {cell!r}")

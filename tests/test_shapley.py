@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,9 @@ def _ens(trees, m=2, base=0.0, eta=1.0):
                     feature_names=[f"f{i}" for i in range(m)])
 
 
-def _random_ensemble(rng, m, n_trees=3, depth=3):
+def _random_ensemble(rng, m, n_trees=3, depth=3, p_leaf=0.3):
     def build(d):
-        if d == 0 or rng.random() < 0.3:
+        if d == 0 or rng.random() < p_leaf:
             return TreeNode(weight=float(rng.normal(0, 2)))
         c = float(rng.uniform(0.05, 0.95))
         return TreeNode(
@@ -166,14 +168,107 @@ def test_additivity_over_trees():
 
 
 def test_batch_matches_single():
+    # enough leaves and rows to span several leaf blocks and row tiles
     rng = np.random.default_rng(31)
-    ens = _random_ensemble(rng, 5, n_trees=4)
-    X = rng.normal(0, 1, (10, 5))
+    ens = _random_ensemble(rng, 8, n_trees=60, depth=6, p_leaf=0.1)
+    X = rng.normal(0, 1, (150, 8))
     batch = shapley_batch(ens, X)
-    for i in range(10):
+    again = shapley_batch(ens, X)
+    for i in (0, 1, 63, 64, 100, 149):
         single = shapley_fast(ens, X[i])
-        assert np.allclose(batch[i].phis, single.phis, atol=1e-12)
-        assert batch[i].phi0 == pytest.approx(single.phi0, abs=1e-12)
+        assert batch[i].phis.tobytes() == single.phis.tobytes()
+        assert batch[i].phi0 == single.phi0
+    for a, b in zip(batch, again):
+        assert a.phis.tobytes() == b.phis.tobytes()
+        assert a.phi0 == b.phi0
+
+
+def test_batch_phi0_is_python_float():
+    rng = np.random.default_rng(3)
+    ens = _random_ensemble(rng, 4)
+    att = shapley_batch(ens, rng.normal(0, 1, (2, 4)))[0]
+    assert type(att.phi0) is float
+
+
+def test_batch_dummy_features_exactly_zero():
+    rng = np.random.default_rng(5)
+    used = _random_ensemble(rng, 4, n_trees=20, depth=5)
+    ens = _ens(used.trees, m=7, base=used.base_score, eta=used.learning_rate)
+    X = rng.normal(0, 1, (50, 7))
+    for att in shapley_batch(ens, X):
+        assert att.phis[4:].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_single_leaf_trees():
+    only_leaf = _ens([TreeNode(weight=3.0)], m=2, base=1.0, eta=0.5)
+    att = shapley_fast(only_leaf, np.array([0.3, -1.0]))
+    assert att.phi0 == 1.0 + 0.5 * 3.0
+    assert att.phis.tolist() == [0.0, 0.0]
+    mixed = _ens([TreeNode(weight=3.0), _stump(), TreeNode(weight=-1.0)], m=2, base=1.0, eta=0.5)
+    for row in ([0.0, 0.0], [1.0, 2.0]):
+        a = shapley_bruteforce(mixed, np.array(row))
+        b = shapley_fast(mixed, np.array(row))
+        assert b.phi0 == pytest.approx(a.phi0, abs=1e-12)
+        assert np.max(np.abs(a.phis - b.phis)) < 1e-12
+
+
+def test_feature_repeated_on_one_path():
+    # f0 < 1, then f0 >= -1, then f1 < 0: f0's conditions collapse to [-1, 1)
+    inner = TreeNode(feature_index=1, split_value=0.0, cover_left=0.4, cover_right=0.6,
+                     left=TreeNode(weight=5.0), right=TreeNode(weight=-2.0))
+    mid = TreeNode(feature_index=0, split_value=-1.0, cover_left=0.3, cover_right=0.7,
+                   left=TreeNode(weight=1.0), right=inner)
+    root = TreeNode(feature_index=0, split_value=1.0, cover_left=0.8, cover_right=0.2,
+                    left=mid, right=TreeNode(weight=4.0))
+    ens = _ens([root], m=3)
+    # rows inside, below, above and exactly on each split (x == split goes right)
+    X = np.array([[0.0, -1.0, 0.0], [-2.0, 1.0, 0.0], [2.0, -1.0, 0.0],
+                  [-1.0, 0.0, 0.0], [1.0, -0.5, 0.0], [np.nextafter(1.0, 0.0), 0.0, 0.0]])
+    for att in shapley_batch(ens, X):
+        oracle = shapley_bruteforce(ens, att.row)
+        assert np.max(np.abs(att.phis - oracle.phis)) < 1e-12
+        assert att.phis[2] == 0.0
+
+
+def test_zero_rows():
+    rng = np.random.default_rng(9)
+    ens = _random_ensemble(rng, 3)
+    assert shapley_batch(ens, np.empty((0, 3))) == []
+
+
+def test_nan_and_infinite_rows():
+    rng = np.random.default_rng(13)
+    ens = _random_ensemble(rng, 4, n_trees=6, depth=4)
+    # hand-made nodes that split on infinities and NaN
+    odd = [
+        TreeNode(feature_index=0, split_value=split, cover_left=0.25, cover_right=0.75,
+                 left=TreeNode(weight=3.0),
+                 right=TreeNode(feature_index=0, split_value=0.5, cover_left=0.5, cover_right=0.5,
+                                left=TreeNode(weight=-1.0), right=TreeNode(weight=2.0)))
+        for split in (np.inf, -np.inf, np.nan)
+    ]
+    ens = _ens(ens.trees + odd, m=4, base=ens.base_score, eta=ens.learning_rate)
+    specials = [np.nan, np.inf, -np.inf, 0.5]
+    X = np.array([[a, b, c, d] for a in specials for b in specials
+                  for c in (np.nan, 0.0) for d in (-np.inf, 0.1)])
+    for att in shapley_batch(ens, X):
+        full = coalition_value(ens, att.row, ens.feature_names)
+        assert att.prediction() == pytest.approx(full, abs=1e-6)
+        oracle = shapley_bruteforce(ens, att.row)
+        assert np.max(np.abs(att.phis - oracle.phis)) < 1e-8
+
+
+def test_batch_memory_bounded():
+    rng = np.random.default_rng(19)
+    ens = _random_ensemble(rng, 22, n_trees=300, depth=6, p_leaf=0.0)
+    X = rng.normal(0, 1, (400, 22))
+    tracemalloc.start()
+    try:
+        shapley_batch(ens, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 1024 * 1024
 
 
 # --- summary / dependence ----------------------------------------------------------

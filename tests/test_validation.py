@@ -84,6 +84,10 @@ def test_r_squared_symmetric():
     assert r_squared(a, b) == pytest.approx(r_squared(b, a), abs=1e-15)
 
 
+def test_r_squared_returns_python_float():
+    assert type(r_squared([1, 2, 3], [1, 2, 4])) is float
+
+
 def test_r_squared_length_mismatch():
     with pytest.raises(LengthMismatch):
         r_squared([1, 2], [1, 2, 3])
