@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acoustics, exposure, fusion, gbm, ingest, shapley, synth, validation
-from .errors import AirnoiseError, InvalidConfig
+from .errors import AirnoiseError, InvalidConfig, UsageError
 from .ingest import Operation
 
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
@@ -99,8 +99,16 @@ def load_config_file(path: Path) -> dict:
         if key not in CONFIG_KEYS:
             raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
         attr, conv = CONFIG_KEYS[key]
-        out[attr] = conv(value)
+        out[attr] = _convert(conv, value, f"{path}:{lineno}: {key}")
     return out
+
+
+def _convert(conv, value: str, where: str):
+    """``conv(value)``, with a malformed value reported as a usage error."""
+    try:
+        return conv(value)
+    except ValueError:
+        raise UsageError(f"{where}: invalid value {value!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -121,9 +129,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "retention_dba", None) is not None:
         overrides["retention_dba"] = args.retention_dba
     if getattr(args, "window_start", None):
-        overrides["window_start"] = datetime.fromisoformat(args.window_start)
+        overrides["window_start"] = _convert(datetime.fromisoformat, args.window_start, "--window-start")
     if getattr(args, "window_end", None):
-        overrides["window_end"] = datetime.fromisoformat(args.window_end)
+        overrides["window_end"] = _convert(datetime.fromisoformat, args.window_end, "--window-end")
     if getattr(args, "mapping", None):
         overrides["mapping"] = args.mapping
     if getattr(args, "out_format", None):
@@ -165,6 +173,15 @@ class Workspace:
 
     def record(self, stage: str, digest: str) -> None:
         self.manifest[stage] = digest
+        self._save()
+
+    def forget(self, stage: str) -> None:
+        """Drop a stage's entry before its outputs are rewritten, so that an
+        interrupted rewrite is never taken for fresh."""
+        if self.manifest.pop(stage, None) is not None:
+            self._save()
+
+    def _save(self) -> None:
         self.manifest_path.write_text(
             json.dumps(self.manifest, sort_keys=True, indent=1), encoding="utf-8"
         )
@@ -196,7 +213,11 @@ def _stage_laeq(ws: Workspace, cfg: RunConfig) -> list[acoustics.HourlyLaeq]:
     out = ws.out / "hourly_laeq.csv"
     digest = ws.digest(cfg.in_dir / "spl.csv", cfg.retention_dba)
     if ws.fresh("laeq", digest, [out]):
-        return acoustics.read_hourly_laeq(out)
+        try:
+            return acoustics.read_hourly_laeq(out)
+        except (AirnoiseError, ValueError):
+            pass  # a torn artifact is a miss
+    ws.forget("laeq")
     samples = ingest.parse_spl(cfg.in_dir / "spl.csv")
     series = acoustics.hourly_series(samples, cfg.retention_dba)
     acoustics.write_hourly_laeq(series, out)
@@ -640,6 +661,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except AirnoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,6 +47,14 @@ class AmbiguousMapping(AirnoiseError):
     pass
 
 
+class UnknownTract(AirnoiseError, KeyError):
+    """A terminal names a tract that is not in tracts.csv (still a KeyError,
+    as it was before it became an AirnoiseError)."""
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)  # KeyError would quote the message
+
+
 class MissingPopulation(AirnoiseError):
     def __init__(self, pairs):
         self.pairs = list(pairs)
@@ -133,3 +141,7 @@ class WrongLength(AirnoiseError):
 
 class InvalidConfig(AirnoiseError):
     pass
+
+
+class UsageError(AirnoiseError):
+    """A malformed flag or configuration value; the CLI exits with status 2."""

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .acoustics import HourlyLaeq
-from .errors import AmbiguousMapping, MissingPopulation, MissingWeather
+from .errors import AmbiguousMapping, MissingPopulation, MissingWeather, UnknownTract
 from .ingest import FlightEvent, NmtMeta, Operation, PopulationRecord, TractMeta, WeatherHour
 
 N_FEATURES = 22
@@ -90,7 +90,7 @@ def map_tracts(
     tract_by_id = {t.tract_id: t for t in tracts}
     for n in nmts:
         if n.tract_id not in tract_by_id:
-            raise KeyError(f"NMT {n.nmt_id} references unknown tract {n.tract_id}")
+            raise UnknownTract(f"NMT {n.nmt_id} references unknown tract {n.tract_id}")
 
     if mode == MAPPING_CONTAINING:
         mapping: dict[str, str] = {}

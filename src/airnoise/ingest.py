@@ -13,6 +13,21 @@ Schemas (header row shown):
     population.csv: tract_id,hour_start,defacto_count
     tracts.csv:     tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use
     nmts.csv:       nmt_id,tract_id,lat,lon
+
+The SPL stream, the only input that grows with the data, parses into
+columns (``spl.SplColumns``), not one object per reading. ``parse_spl``
+reads the file in chunks of about ``SPL_CHUNK_CHARS`` characters, so the
+temporaries stay small and peak memory grows with the file only by the
+columns themselves. Each chunk is split once and checked with array
+operations (``spl.parse_chunk``). A chunk falls back to the row parser
+(``csv.reader``, one row at a time, which also builds the error) if it holds
+anything unusual: a quote character or a carriage return (then the row
+parser takes the rest of the file, since a quoted field may span lines), a
+blank line, a row without exactly 3 fields, a timestamp other than the
+canonical 19-character ``YYYY-MM-DDTHH:MM:SS``, a non-ASCII character, or a
+level that ``float()`` rejects or that lies outside [0, 140]. So every
+accepted input parses to the same values as the row parser, and every
+rejected one raises the same exception with the same line number.
 """
 
 from __future__ import annotations
@@ -22,17 +37,18 @@ import enum
 import io
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .errors import DuplicateKey, MalformedRow, RangeViolation
+from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, SplSample, parse_chunk
 
 # Nominal 3-second samples in one hour; completeness is reported against this,
 # never imputed.
 SAMPLES_PER_HOUR_NOMINAL = 1200
-
-LEVEL_MIN_DBA = 0.0
-LEVEL_MAX_DBA = 140.0
 
 
 class Operation(enum.Enum):
@@ -45,15 +61,6 @@ class LandUse(enum.Enum):
     RESIDENTIAL = "RESIDENTIAL"
     MIXED = "MIXED"
     UNKNOWN = "UNKNOWN"
-
-
-@dataclass(frozen=True, slots=True)
-class SplSample:
-    """One 3-second A-weighted sound-pressure reading at one terminal."""
-
-    nmt_id: str
-    timestamp: datetime
-    level: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +109,7 @@ class NmtMeta:
 class Bundle:
     """All six parsed datasets for one run."""
 
-    spl: list[SplSample]
+    spl: Sequence[SplSample]
     flights: list[FlightEvent]
     weather: list[WeatherHour]
     population: list[PopulationRecord]
@@ -113,28 +120,39 @@ class Bundle:
 # ---------------------------------------------------------------------------
 # low-level helpers
 
-def _rows(source, expected_header: Sequence[str]):
-    """Yield (line_number, fields) for each data row, checking the header.
-
-    ``source`` may be raw bytes, CSV text, an open text stream, or a Path.
-    """
+def _text(source):
+    """``source`` as a text stream: raw bytes, CSV text, a Path, or an open
+    text stream (returned as it is)."""
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, Path):
-        source = io.StringIO(source.read_text(encoding="utf-8"))
-    elif isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+        return io.StringIO(source.decode("utf-8"))
+    if isinstance(source, Path):
+        return io.StringIO(source.read_text(encoding="utf-8"))
+    if isinstance(source, str):
+        return io.StringIO(source)
+    return source
+
+
+def _rows(source, expected_header: Sequence[str]):
+    """Yield (line_number, fields) for each data row, checking the header."""
+    reader = csv.reader(_text(source))
     header = next(reader, None)
     if header is None:
         return  # empty file: no header required, no rows
-    if [h.strip() for h in header] != list(expected_header):
-        raise MalformedRow(1, f"expected header {','.join(expected_header)}")
-    for lineno, fields in enumerate(reader, start=2):
+    _check_header(header, expected_header)
+    yield from _records(reader, 2, len(expected_header))
+
+
+def _check_header(header: list[str], expected: Sequence[str]) -> None:
+    if [h.strip() for h in header] != list(expected):
+        raise MalformedRow(1, f"expected header {','.join(expected)}")
+
+
+def _records(reader, first_line: int, n_fields: int):
+    for lineno, fields in enumerate(reader, start=first_line):
         if not fields:
             continue
-        if len(fields) != len(expected_header):
-            raise MalformedRow(lineno, f"expected {len(expected_header)} fields, got {len(fields)}")
+        if len(fields) != n_fields:
+            raise MalformedRow(lineno, f"expected {n_fields} fields, got {len(fields)}")
         yield lineno, fields
 
 
@@ -187,16 +205,61 @@ POPULATION_HEADER = ("tract_id", "hour_start", "defacto_count")
 TRACTS_HEADER = ("tract_id", "district_id", "centroid_lat", "centroid_lon", "resident_count", "land_use")
 NMTS_HEADER = ("nmt_id", "tract_id", "lat", "lon")
 
+# A chunk's temporaries (its field strings and digit arrays) take about 15
+# times its size. 1 MiB chunks raised the parse's peak RSS by 26 MB on a
+# 72,000-row file, against 5 MB at 128 KiB, which also parsed no slower.
+SPL_CHUNK_CHARS = 1 << 17
 
-def parse_spl(source) -> list[SplSample]:
-    """Parse spl.csv rows in file order, validating the level band [0, 140] dBA."""
+
+def parse_spl(source) -> SplColumns:
+    """Parse spl.csv rows in file order, validating the level band [0, 140] dBA.
+
+    The result, or the error, is the row parser's; see the module docstring
+    for the chunked fast path and its fallback.
+    """
+    if isinstance(source, Path):
+        with open(source, encoding="utf-8") as fh:
+            return _parse_spl_stream(fh, SPL_CHUNK_CHARS)
+    return _parse_spl_stream(_text(source), SPL_CHUNK_CHARS)
+
+
+def _parse_spl_rows(source) -> list[SplSample]:
+    """The row parser: one ``csv.reader`` row at a time."""
+    return _spl_samples(_rows(source, SPL_HEADER))
+
+
+def _spl_samples(rows) -> list[SplSample]:
     out = []
-    for lineno, (nmt_id, ts, level) in _rows(source, SPL_HEADER):
+    for lineno, (nmt_id, ts, level) in rows:
         lv = _float(level, lineno, "level")
         if not LEVEL_MIN_DBA <= lv <= LEVEL_MAX_DBA:
             raise RangeViolation(lineno, "level_dba", lv, f"[{LEVEL_MIN_DBA}, {LEVEL_MAX_DBA}]")
         out.append(SplSample(nmt_id, _datetime(ts, lineno, "timestamp"), lv))
     return out
+
+
+def _parse_spl_stream(fh, chunk_chars: int) -> SplColumns:
+    columns = SplBuilder()
+    first = fh.readline()
+    if '"' in first or "\r" in first:
+        columns.add_samples(_parse_spl_rows(chain([first], fh)))
+        return columns.build()
+    if first:
+        _check_header(next(csv.reader([first])), SPL_HEADER)
+    lineno = 2
+    while lines := fh.readlines(chunk_chars):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            # a quoted field may span chunks: the row parser takes the rest
+            columns.add_samples(_spl_samples(_records(csv.reader(chain(lines, fh)), lineno, 3)))
+            break
+        chunk = parse_chunk(text, len(lines))
+        if chunk is None:
+            columns.add_samples(_spl_samples(_records(csv.reader(lines), lineno, 3)))
+        else:
+            columns.add(*chunk)
+        lineno += len(lines)
+    return columns.build()
 
 
 def parse_flights(source) -> list[FlightEvent]:
@@ -410,21 +473,12 @@ def window_hours(window: tuple[datetime, datetime]) -> list[datetime]:
     return hours
 
 
-def validate_bundle(
-    bundle: Bundle,
-    window: tuple[datetime, datetime],
-    declared_runways: set[str] | None = None,
-) -> ValidationReport:
-    """Check coverage, duplicates and references across streams.
-
-    ``declared_runways`` defaults to the set observed in the flight stream
-    (no file schema declares runways, so an explicit set must come from run
-    configuration when one exists).
-    """
+def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> ValidationReport:
+    """Check coverage, duplicates and references across streams."""
     report = ValidationReport()
     hours = window_hours(window)
-    hour_set = set(hours)
     add = report.findings.append
+    spl = SplColumns.from_samples(bundle.spl)
 
     def hs(ts: datetime) -> str:
         return ts.isoformat(timespec="minutes")
@@ -433,9 +487,10 @@ def validate_bundle(
     def in_window(ts: datetime) -> bool:
         return window[0] <= ts < window[1]
 
-    for s in bundle.spl:
-        if not in_window(s.timestamp):
-            add(Finding("spl", OUT_OF_WINDOW, s.timestamp.isoformat(), f"sample at {s.nmt_id}"))
+    outside = (spl.times < np.datetime64(window[0], "us")) | (spl.times >= np.datetime64(window[1], "us"))
+    for i in np.flatnonzero(outside).tolist():
+        s = spl[i]
+        add(Finding("spl", OUT_OF_WINDOW, s.timestamp.isoformat(), f"sample at {s.nmt_id}"))
     for f in bundle.flights:
         if not in_window(f.timestamp):
             add(Finding("flights", OUT_OF_WINDOW, f.timestamp.isoformat(), f.runway))
@@ -460,17 +515,17 @@ def validate_bundle(
             if (t, h) not in pop_keys:
                 add(Finding("population", COVERAGE_GAP, f"{t}@{hs(h)}", "no population record"))
 
-    # -- SPL duplicates, coverage and per-NMT-hour completeness
+    # -- SPL duplicates (every repeat of a (terminal, timestamp), in file
+    #    order), coverage and per-NMT-hour completeness
+    order = np.lexsort((spl.times, spl.codes))  # stable: a key's first sample sorts first
+    codes, times = spl.codes[order], spl.times[order]
+    repeat = (codes[1:] == codes[:-1]) & (times[1:] == times[:-1])
+    for i in np.sort(order[1:][repeat]).tolist():
+        s = spl[i]
+        add(Finding("spl", DUPLICATE_KEY, f"{s.nmt_id}@{s.timestamp.isoformat()}", "duplicate sample"))
+    _, starts, keys = spl.hour_groups()
+    counts = dict(zip(keys, np.diff(np.r_[starts, len(spl)]).tolist()))
     nmt_ids = {n.nmt_id for n in bundle.nmts}
-    counts: dict[tuple[str, datetime], int] = {}
-    seen_samples: set[tuple[str, datetime]] = set()
-    for s in bundle.spl:
-        key = (s.nmt_id, s.timestamp)
-        if key in seen_samples:
-            add(Finding("spl", DUPLICATE_KEY, f"{s.nmt_id}@{s.timestamp.isoformat()}", "duplicate sample"))
-        seen_samples.add(key)
-        hour = s.timestamp.replace(minute=0, second=0, microsecond=0)
-        counts[(s.nmt_id, hour)] = counts.get((s.nmt_id, hour), 0) + 1
     for n in sorted(nmt_ids):
         for h in hours:
             c = counts.get((n, h), 0)
@@ -482,12 +537,9 @@ def validate_bundle(
     for n in bundle.nmts:
         if n.tract_id not in tract_ids:
             add(Finding("nmts", DANGLING_REFERENCE, n.nmt_id, f"unknown tract {n.tract_id}"))
-    for p in {p.tract_id for p in bundle.population} - tract_ids:
+    for p in sorted({p.tract_id for p in bundle.population} - tract_ids):
         add(Finding("population", DANGLING_REFERENCE, p, "unknown tract"))
-    for s in {s.nmt_id for s in bundle.spl} - nmt_ids:
+    for s in sorted(set(spl.names) - nmt_ids):
         add(Finding("spl", DANGLING_REFERENCE, s, "unknown nmt"))
-    runways = declared_runways if declared_runways is not None else {f.runway for f in bundle.flights}
-    for f in {f.runway for f in bundle.flights} - runways:
-        add(Finding("flights", DANGLING_REFERENCE, f, "undeclared runway"))
 
     return report

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from airnoise.acoustics import hourly_series, laeq, retain_above
 from airnoise.errors import EmptyInput
 from airnoise.ingest import SplSample
+from airnoise.spl import SplColumns
 
 HOUR = datetime(2023, 1, 5, 9)
 
@@ -167,3 +168,37 @@ def test_hourly_series_brute_force_equivalence():
         else:
             assert rec.laeq == pytest.approx(oracle_laeq(retained), abs=1e-9)
         assert rec.n_retained == retained.size
+
+
+def test_hourly_series_equals_laeq_of_each_group_exactly():
+    rng = np.random.default_rng(5)
+    n = 12_000
+    nmts = rng.choice(["N1", "N2", "N3", "N10"], n)
+    seconds = rng.integers(0, 6 * 3600, n)
+    levels = np.round(rng.uniform(30, 110, n), 2)
+    levels[rng.random(n) < 0.01] = 0.0
+    samples = [SplSample(str(a), HOUR + timedelta(seconds=int(s)), float(lv))
+               for a, s, lv in zip(nmts, seconds, levels)]
+    # one hour where nothing is retained
+    samples += _samples([40.0] * 7, nmt="N4", start=HOUR + timedelta(hours=3))
+    groups = {}
+    for s in samples:
+        groups.setdefault((s.nmt_id, s.timestamp.replace(minute=0, second=0)), []).append(s.level)
+
+    out = hourly_series(samples, 60.0)
+    assert [(r.nmt_id, r.hour_start) for r in out] == sorted(groups)
+    for rec in out:
+        group = groups[(rec.nmt_id, rec.hour_start)]
+        retained = [lv for lv in group if lv > 60.0]
+        assert rec.laeq == (laeq(retained) if retained else None)
+        assert rec.n_retained == len(retained)
+        assert rec.completeness == len(group) / 1200
+    assert out[-1].nmt_id == "N4" and out[-1].laeq is None
+    assert hourly_series(SplColumns.from_samples(samples), 60.0) == out
+    assert hourly_series(iter(samples), 60.0) == out
+
+
+def test_hourly_series_empty_and_non_finite():
+    assert hourly_series([], 60.0) == []
+    with pytest.raises(ValueError):
+        hourly_series(_samples([70.0, float("inf")]), 60.0)

@@ -181,3 +181,70 @@ def test_report_csv_numeric_cells_parse(small_report):
                     float(cell)
                 except ValueError:
                     pytest.fail(f"{path.name}: column {col!r} holds {cell!r}")
+
+
+@pytest.mark.parametrize("keep", [0.5, -2])
+def test_laeq_recomputes_torn_cache(small_bundle, tmp_path, keep):
+    out = tmp_path / "out"
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
+    path = out / "hourly_laeq.csv"
+    whole = path.read_bytes()
+    # cut mid-file, or inside the last row's final number
+    path.write_bytes(whole[:int(len(whole) * keep)] if keep > 0 else whole[:keep])
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
+    assert path.read_bytes() == whole
+    assert sorted(p.name for p in out.iterdir()) == ["hourly_laeq.csv", "manifest.json"]
+
+
+def _copy_bundle(src, dest):
+    dest.mkdir()
+    for name in ("spl.csv", "flights.csv", "weather.csv", "population.csv", "tracts.csv", "nmts.csv"):
+        (dest / name).write_bytes((src / name).read_bytes())
+    return dest
+
+
+def test_unknown_tract_exits_1_with_one_line(small_bundle, tmp_path, capsys):
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    lines = (bundle / "nmts.csv").read_text().splitlines()
+    nmt, _, lat, lon = lines[1].split(",")
+    lines[1] = ",".join([nmt, "NO_SUCH_TRACT", lat, lon])
+    (bundle / "nmts.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fuse", "--in", str(bundle), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: NMT {nmt} references unknown tract NO_SUCH_TRACT\n"
+
+
+def test_malformed_window_flag_exits_2(small_bundle, tmp_path, capsys):
+    for flag in ("--window-start", "--window-end"):
+        capsys.readouterr()
+        rc = main(["laeq", "--in", str(small_bundle), "--out", str(tmp_path / "out"), flag, "nope"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag}: invalid value 'nope'\n"
+
+
+def test_malformed_window_config_exits_2(small_bundle, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    for key in ("window_start", "window_end"):
+        conf.write_text(f"seed = 3\n{key} = nope\n")
+        capsys.readouterr()
+        rc = main(["laeq", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--config", str(conf)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {conf}:2: {key}: invalid value 'nope'\n"
+
+
+def test_laeq_miss_drops_manifest_entry_first(small_bundle, tmp_path, monkeypatch):
+    from airnoise import acoustics
+
+    out = tmp_path / "out"
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
+    assert "laeq" in json.loads((out / "manifest.json").read_text())
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(acoustics, "hourly_series", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["laeq", "--in", str(small_bundle), "--out", str(out), "--retention-dba", "70"])
+    # the old output is still there, but no longer recorded as fresh
+    assert "laeq" not in json.loads((out / "manifest.json").read_text())

@@ -4,8 +4,8 @@ from datetime import datetime, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from airnoise import ingest
-from airnoise.errors import DuplicateKey, MalformedRow, RangeViolation
+from airnoise import ingest, spl
+from airnoise.errors import AirnoiseError, DuplicateKey, MalformedRow, RangeViolation
 from airnoise.ingest import (
     Bundle,
     LandUse,
@@ -229,3 +229,181 @@ def test_window_hours_closed_open():
     start = datetime(2023, 1, 5)
     hours = window_hours((start, start + timedelta(hours=3)))
     assert hours == [start, start + timedelta(hours=1), start + timedelta(hours=2)]
+
+
+# --- columnar SPL parse: equal to the row parser -----------------------------
+
+def _spl_outcome(parse):
+    try:
+        return "ok", [(s.nmt_id, s.timestamp, s.level) for s in parse()]
+    except AirnoiseError as exc:
+        return type(exc), str(exc)
+
+
+_BASE = datetime(2023, 1, 5, 9)
+_GOOD_TS = st.integers(min_value=0, max_value=3 * 3600).map(
+    lambda sec: (_BASE + timedelta(seconds=sec)).isoformat()
+)
+_ODD_TS = st.one_of(
+    _GOOD_TS.map(lambda ts: ts.replace("T", " ")),                     # space separator
+    st.tuples(_GOOD_TS, st.integers(1, 999999)).map(lambda p: f"{p[0]}.{p[1]:06d}"),
+    _GOOD_TS.map(lambda ts: ts + ".5"),
+    _GOOD_TS.map(lambda ts: ts[:16]),                                  # no seconds
+)
+_BAD_TS = st.sampled_from([
+    "nope", "2023-02-30T00:00:00", "2023-01-05T24:00:00", "2023-01-05T09:60:00",
+    "2023-13-01T00:00:00", "0000-01-05T09:00:00", "2023-01-05T09:00:03+09:00", "",
+])
+_GOOD_LEVEL = st.floats(min_value=0, max_value=140, allow_nan=False).map(lambda x: repr(round(x, 2)))
+_BAD_LEVEL = st.sampled_from(["abc", "141.0", "-0.5", "nan", "inf", "", "1e3"])
+_NMT = st.sampled_from(["NMT1", "NMT2", "N3", "Nö4"])
+
+
+@st.composite
+def _spl_text(draw):
+    rows = draw(st.lists(st.tuples(_NMT, _GOOD_TS, _GOOD_LEVEL), min_size=0, max_size=40))
+    lines = [",".join(r) + "\n" for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        nmt, ts, level = rows[i]
+        lines[i] = draw(st.sampled_from([
+            f'"{nmt}",{ts},{level}\n',                 # quoted field
+            f'"{nmt},x",{ts},{level}\n',               # quoted comma
+            f'"{nmt}\nB",{ts},{level}\n',              # quoted line end
+            f"{nmt},{ts},{level}\r\n",                 # CRLF
+            f"{nmt},{ts},{level}\n\n",                 # blank line after
+            f"{nmt},{draw(_ODD_TS)},{level}\n",        # non-canonical timestamp
+            f"{nmt},{draw(_BAD_TS)},{level}\n",        # bad timestamp
+            f"{nmt},{ts},{draw(_BAD_LEVEL)}\n",        # bad level
+            f"{nmt},{ts}\n",                           # 2 fields
+            f"{nmt},{ts},{level},x\n",                 # 4 fields
+            f" {nmt},{ts}, {level}\n",                 # padded fields
+        ]))
+    text = SPL_HEADER + "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")                       # no line end after the last row
+    return text
+
+
+@given(_spl_text(), st.integers(min_value=1, max_value=300))
+def test_parse_spl_equals_row_parser(text, chunk_chars):
+    expected = _spl_outcome(lambda: ingest._parse_spl_rows(text))
+    # small chunks put the unusual row at a random line of a multi-chunk file
+    assert _spl_outcome(lambda: ingest._parse_spl_stream(io.StringIO(text), chunk_chars)) == expected
+    assert _spl_outcome(lambda: parse_spl(text)) == expected
+
+
+def test_parse_spl_path_equals_row_parser(tmp_path):
+    n = 10_000  # about 300 kB: more than one chunk
+    rows = "".join(
+        f"NMT{k % 3},{(_BASE + timedelta(seconds=3 * k)).isoformat()},{40 + (k % 700) / 10}\n"
+        for k in range(n)
+    )
+    assert len(rows) > ingest.SPL_CHUNK_CHARS
+    path = tmp_path / "spl.csv"
+    path.write_text(SPL_HEADER + rows + "NMT1,2023-01-05T09:00:03,140.5\n", encoding="utf-8")
+    with pytest.raises(RangeViolation) as exc:
+        parse_spl(path)
+    assert exc.value.line == n + 2
+    path.write_text(SPL_HEADER + rows.replace("\n", "\r\n"), encoding="utf-8")
+    out = parse_spl(path)
+    assert out == ingest._parse_spl_rows(path)
+    assert out.names == ("NMT0", "NMT1", "NMT2")
+
+
+def test_spl_chunk_fast_path_and_fallback():
+    ok = "NMT1,2023-01-05T09:00:03,72.4\nNMT2,2023-01-05T09:00:06,61.25\n"
+    ids, micros, levels = spl.parse_chunk(ok, 2)
+    assert ids == ["NMT1", "NMT2"]
+    assert levels.tolist() == [72.4, 61.25]
+    assert micros.view("datetime64[us]").tolist() == [datetime(2023, 1, 5, 9, 0, 3), datetime(2023, 1, 5, 9, 0, 6)]
+    for unusual in (
+        "NMT1,2023-01-05T09:00:03,72.4\n\n",           # blank line
+        "NMT1,2023-01-05T09:00:03\n",                  # 2 fields
+        "NMT1,2023-01-05T09:00:03,72.4,1\n",           # 4 fields
+        "NMT1,2023-01-05 09:00:03,72.4\n",             # space separator
+        "NMT1,2023-01-05T09:00:03.5,72.4\n",           # fractional seconds
+        "NMT1,2023-02-29T09:00:03,72.4\n",             # no such day
+        "NMT1,2023-01-05T09:00:03,abc\n",              # not a number
+        "NMT1,2023-01-05T09:00:03,140.01\n",           # above the band
+        "NMTé,2023-01-05T09:00:03,72.4\n",             # non-ASCII
+    ):
+        assert spl.parse_chunk(unusual, unusual.count("\n")) is None, unusual
+
+
+def test_spl_columns_sequence():
+    samples = [
+        ingest.SplSample("N2", _BASE, 70.0),
+        ingest.SplSample("N1", _BASE + timedelta(seconds=3), 65.5),
+        ingest.SplSample("N2", _BASE + timedelta(seconds=6, microseconds=5), 0.0),
+    ]
+    cols = spl.SplColumns.from_samples(samples)
+    assert cols.names == ("N1", "N2")
+    assert len(cols) == 3 and cols == samples and samples == cols
+    assert cols[0] == samples[0] and cols[-1] == samples[-1]
+    assert isinstance(cols[0].level, float)
+    assert list(cols) == samples
+    assert cols[1:] == samples[1:] and cols[1:].names == ("N1", "N2")
+    assert cols[2:].names == ("N2",)
+    assert cols != samples[:2]
+    assert samples[1] in cols
+    with pytest.raises(ValueError):
+        cols.levels[0] = 1.0
+
+
+# --- validate_bundle: SPL findings in file order ------------------------------
+
+def test_validate_findings_order():
+    start = datetime(2023, 1, 5)
+    window = (start, start + timedelta(hours=2))
+    t = start + timedelta(minutes=5)
+    u = start + timedelta(hours=1, seconds=30)
+    S = ingest.SplSample
+    spl = [
+        S("N1", t, 70.0),
+        S("N2", start + timedelta(hours=2), 71.0),     # out of window (end is open)
+        S("N2", t, 70.0),
+        S("N1", t, 72.0),                              # duplicate of row 1
+        S("N1", start - timedelta(seconds=3), 70.0),   # out of window
+        S("N1", u, 70.0),
+        S("N2", t, 60.0),                              # duplicate of row 3
+        S("N1", t, 61.0),                              # duplicate of row 1 again
+        S("N9", u, 61.0),                              # unknown terminal
+        S("N8", u, 61.0),                              # unknown terminal
+    ]
+    bundle = _tiny_bundle(start)
+    nmts = bundle.nmts + [NmtMeta("N2", "T1", (37.5, 127.0)), NmtMeta("N3", "T1", (37.5, 127.0))]
+    population = bundle.population + [ingest.PopulationRecord(t, start, 1.0) for t in ("X3", "X1", "X2")]
+    bundle = Bundle(spl=spl, flights=[], weather=bundle.weather, population=population,
+                    tracts=bundle.tracts, nmts=nmts)
+    expected = [
+        ("spl", ingest.OUT_OF_WINDOW, "2023-01-05T02:00:00", "sample at N2"),
+        ("spl", ingest.OUT_OF_WINDOW, "2023-01-04T23:59:57", "sample at N1"),
+        ("spl", ingest.DUPLICATE_KEY, "N1@2023-01-05T00:05:00", "duplicate sample"),
+        ("spl", ingest.DUPLICATE_KEY, "N2@2023-01-05T00:05:00", "duplicate sample"),
+        ("spl", ingest.DUPLICATE_KEY, "N1@2023-01-05T00:05:00", "duplicate sample"),
+        ("spl", ingest.COVERAGE_GAP, "N2@2023-01-05T01:00", "no samples"),
+        ("spl", ingest.COVERAGE_GAP, "N3@2023-01-05T00:00", "no samples"),
+        ("spl", ingest.COVERAGE_GAP, "N3@2023-01-05T01:00", "no samples"),
+        ("population", ingest.DANGLING_REFERENCE, "X1", "unknown tract"),
+        ("population", ingest.DANGLING_REFERENCE, "X2", "unknown tract"),
+        ("population", ingest.DANGLING_REFERENCE, "X3", "unknown tract"),
+        ("spl", ingest.DANGLING_REFERENCE, "N8", "unknown nmt"),
+        ("spl", ingest.DANGLING_REFERENCE, "N9", "unknown nmt"),
+    ]
+    for spl_stream in (spl, parse_spl(_spl_csv(spl))):
+        bundle = Bundle(spl=spl_stream, flights=bundle.flights, weather=bundle.weather,
+                        population=bundle.population, tracts=bundle.tracts, nmts=bundle.nmts)
+        report = validate_bundle(bundle, window)
+        assert [(f.stream, f.kind, f.key, f.detail) for f in report.findings] == expected
+        assert report.completeness[("N1", start)] == 3 / 1200
+        assert report.completeness[("N1", start + timedelta(hours=1))] == 1 / 1200
+        assert report.completeness[("N3", start)] == 0.0
+
+
+def _spl_csv(samples) -> str:
+    buf = io.StringIO()
+    write_spl(samples, buf)
+    return buf.getvalue()
