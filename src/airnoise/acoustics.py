@@ -20,7 +20,6 @@ bit differs from the C library's ``pow`` (on one AVX-512 machine it did for
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -105,16 +104,10 @@ HOURLY_LAEQ_HEADER = "nmt_id,hour_start,laeq_dba,n_retained,completeness"
 
 
 def write_hourly_laeq(series: Iterable[HourlyLaeq], dest) -> None:
-    """Emit hourly_laeq.csv; an absent LAeq is an empty field.
-
-    A path is written through a temporary file that then replaces it, so a
-    reader never sees a partly written file.
-    """
+    """Emit hourly_laeq.csv; an absent LAeq is an empty field."""
     if isinstance(dest, (str, Path)):
-        tmp = Path(f"{dest}.tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_hourly_laeq(series, fh)
-        os.replace(tmp, dest)
         return
     dest.write(HOURLY_LAEQ_HEADER + "\n")
     for h in series:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -31,6 +32,8 @@ from .errors import AirnoiseError, InvalidConfig, UsageError
 from .ingest import Operation
 
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
+MAPPINGS = (fusion.MAPPING_CONTAINING, fusion.MAPPING_NEAREST_CENTROID)
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -66,6 +69,15 @@ class RunConfig:
         )
 
 
+def _choice(choices: tuple[str, ...]):
+    """A converter that accepts only ``choices``, as the matching flag does."""
+    def convert(value: str) -> str:
+        if value not in choices:
+            raise ValueError(value)
+        return value
+    return convert
+
+
 CONFIG_KEYS = {
     "in": ("in_dir", Path),
     "out": ("out_dir", Path),
@@ -75,8 +87,8 @@ CONFIG_KEYS = {
     "retention_dba": ("retention_dba", float),
     "window_start": ("window_start", datetime.fromisoformat),
     "window_end": ("window_end", datetime.fromisoformat),
-    "mapping": ("mapping", str),
-    "format": ("out_format", str),
+    "mapping": ("mapping", _choice(MAPPINGS)),
+    "format": ("out_format", _choice(FORMATS)),
     "rounds_max": ("rounds_max", int),
     "max_depth": ("max_depth", int),
     "lambda": ("lambda_", float),
@@ -146,6 +158,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # content-hash manifest for intermediate reuse
 
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_atomic(path: Path, write) -> None:
+    """``write(tmp)``, then move the temporary file onto ``path``, so a reader
+    never sees a partly written artifact."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
 class Workspace:
     """Stage cache rooted at the output directory."""
 
@@ -169,10 +193,16 @@ class Workspace:
         return h.hexdigest()
 
     def fresh(self, stage: str, digest: str, outputs: list[Path]) -> bool:
-        return self.manifest.get(stage) == digest and all(p.exists() for p in outputs)
+        """Whether the stage last ran on ``digest`` and each output still holds
+        the bytes it wrote then."""
+        entry = self.manifest.get(stage)
+        if not isinstance(entry, dict) or entry.get("digest") != digest:
+            return False
+        recorded = entry.get("outputs", {})
+        return all(p.exists() and recorded.get(p.name) == _file_sha256(p) for p in outputs)
 
-    def record(self, stage: str, digest: str) -> None:
-        self.manifest[stage] = digest
+    def record(self, stage: str, digest: str, outputs: list[Path]) -> None:
+        self.manifest[stage] = {"digest": digest, "outputs": {p.name: _file_sha256(p) for p in outputs}}
         self._save()
 
     def forget(self, stage: str) -> None:
@@ -220,8 +250,8 @@ def _stage_laeq(ws: Workspace, cfg: RunConfig) -> list[acoustics.HourlyLaeq]:
     ws.forget("laeq")
     samples = ingest.parse_spl(cfg.in_dir / "spl.csv")
     series = acoustics.hourly_series(samples, cfg.retention_dba)
-    acoustics.write_hourly_laeq(series, out)
-    ws.record("laeq", digest)
+    _write_atomic(out, lambda p: acoustics.write_hourly_laeq(series, p))
+    ws.record("laeq", digest, [out])
     return series
 
 
@@ -234,14 +264,15 @@ def _stage_fused(ws: Workspace, cfg: RunConfig, series) -> list[fusion.TractHour
     )
     if ws.fresh("fused", digest, [out]):
         return fusion.read_fused(out)
+    ws.forget("fused")
     tracts = ingest.parse_tracts(cfg.in_dir / "tracts.csv")
     nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
     population = ingest.parse_population(cfg.in_dir / "population.csv")
     hours = ingest.window_hours((cfg.window_start, cfg.window_end))
     mapping = fusion.map_tracts(nmts, tracts, cfg.mapping)
     records = fusion.fuse(population, series, mapping, tracts, hours)
-    fusion.write_fused(records, out)
-    ws.record("fused", digest)
+    _write_atomic(out, lambda p: fusion.write_fused(records, p))
+    ws.record("fused", digest, [out])
     return records
 
 
@@ -254,13 +285,14 @@ def _stage_features(ws: Workspace, cfg: RunConfig, series) -> fusion.FeatureTabl
     )
     if ws.fresh("features", digest, [out]):
         return fusion.read_features(out)
+    ws.forget("features")
     flights = ingest.parse_flights(cfg.in_dir / "flights.csv")
     weather = ingest.parse_weather(cfg.in_dir / "weather.csv")
     nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
     hours = ingest.window_hours((cfg.window_start, cfg.window_end))
     table = fusion.build_features(flights, weather, nmts, series, hours)
-    fusion.write_features(table, out)
-    ws.record("features", digest)
+    _write_atomic(out, lambda p: fusion.write_features(table, p))
+    ws.record("features", digest, [out])
     return table
 
 
@@ -288,15 +320,17 @@ def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple[gbm.E
             loaded[name] = (ens, history)
         return loaded
 
+    ws.forget("models")
     train_part, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
     result = {}
     for name in MODEL_TARGETS:
         X_train, y_train, _ = _model_rows(train_part, name)
         X_test, y_test, _ = _model_rows(test_part, name)
         ens, history = gbm.train(X_train, y_train, X_test, y_test, cfg.train_config(), table.feature_names)
-        outputs[name].write_text(gbm.to_json(ens, cfg.train_config(), history), encoding="utf-8")
+        text = gbm.to_json(ens, cfg.train_config(), history)
+        _write_atomic(outputs[name], lambda p: p.write_text(text, encoding="utf-8"))
         result[name] = (ens, history)
-    ws.record("models", digest)
+    ws.record("models", digest, list(outputs.values()))
     return result
 
 
@@ -631,9 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample retention threshold in dBA")
         p.add_argument("--window-start", dest="window_start", help="study window start (ISO hour)")
         p.add_argument("--window-end", dest="window_end", help="study window end, exclusive (ISO hour)")
-        p.add_argument("--mapping", choices=["containing", "nearest"],
+        p.add_argument("--mapping", choices=MAPPINGS,
                        help="tract-to-terminal mapping mode")
-        p.add_argument("--format", dest="out_format", choices=["csv", "json"],
+        p.add_argument("--format", dest="out_format", choices=FORMATS,
                        help="tabular artifact format")
 
     p = sub.add_parser("synth", help="generate a synthetic input bundle")

@@ -1,24 +1,60 @@
 """Second-order gradient-boosted regression trees for hourly noise levels.
 
 Squared-error loss only: per-row gradient g = prediction - target, hessian
-h = 1. Trees are grown by exact greedy enumeration of every midpoint between
-consecutive distinct feature values, maximizing
+h = 1, so a node's H is its row count. Trees are grown by exact greedy
+search (the exact greedy algorithm of XGBoost, Chen & Guestrin 2016,
+arXiv:1603.02754): the candidate splits of a node are the midpoints between
+consecutive distinct values of each feature among the node's rows (the
+upper value where the midpoint of two adjacent doubles rounds onto the
+lower one), and the chosen one maximizes
 
     gain = 1/2 * [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda)
                    - (G_L+G_R)^2/(H_L+H_R+lambda) ] - gamma
 
-with leaf weight -G/(H+lambda). Equal-gain ties resolve to the lowest
-feature index, then the lowest split value, so a training run is bit-for-bit
-reproducible anywhere. Each internal node records the fraction of its
-training rows routed left/right; the attribution module uses these covers as
-the branch weights for unconditioned features.
+over candidates that leave at least min_child_weight (and one row) on each
+side. A node is a leaf at max_depth or when no candidate has a positive
+gain; its weight is -G/(H+lambda).
+
+Growth is level-wise and reads G_L and H_L from histograms, as LightGBM
+does (Ke et al., NeurIPS 2017). Each `train` call codes every training
+column once by the rank of its value among the column's distinct values.
+Per level, a bincount over the live rows gives every node's G per code (the
+row counts come from the level above, where they also decide ties), and
+running sums over each feature's codes, started from zero, give G_L and H_L
+at every code. A code that none of a node's rows holds adds nothing and is
+no candidate, so the candidates are exactly those of a search that sorts
+the node's rows: binning approximates nothing. A level costs about
+rows x features + codes x nodes, so few distinct values per feature suit
+it; a continuous column has as many codes as rows. Training and validation
+rows are routed through the levels as they are grown, so a round needs no
+separate prediction pass.
+
+What is exact: the candidate set, the row partitions, the covers, the
+leaf weights and the tie rule below. Each node keeps its rows in the order a
+sort-based search visits them (stably sorted by each split feature on its
+path), and its G is their pairwise sum in that order, so a leaf weight is
+that search's bit for bit. G_L comes from per-code sums, so a gain can
+differ from that search's in the last bits, and a choice between two splits
+whose gains lie within rounding of each other may differ.
+
+Ties: the first maximum in feature-major order wins, so equal gains resolve
+to the lowest feature index, then the lowest split value. Candidates of two
+features that induce the same partition have mathematically equal gains
+that rounding can tell apart (a negated copy of a column sums the same rows
+in the opposite order), so that rule is enforced on partitions: when
+another feature's candidate sends exactly the same rows left, or exactly
+the same rows right, as the maximum, the lowest such feature wins, and a
+mirrored choice swaps the children. This is decided from row counts, with
+no tolerance, so a training run is bit-for-bit reproducible anywhere. Each
+internal node records the fraction of its training rows routed left/right;
+the attribution module uses these covers as the branch weights for
+unconditioned features.
 
 The fitted model is base_score + learning_rate * sum(tree outputs); training
 runs until rounds_max or until validation RMSE has not improved for
 ``early_stopping_patience`` rounds, and the returned ensemble is the prefix
 of trees up to the best validation round.
 """
-
 from __future__ import annotations
 
 import json
@@ -123,51 +159,187 @@ def split_data(table: FeatureTable, fraction: float = 0.9, seed: int = 0) -> tup
 # ---------------------------------------------------------------------------
 # tree growing
 
-def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-          depth: int, cfg: TrainConfig) -> TreeNode:
-    g_node = g[rows]
-    h_node = h[rows]
-    G = float(g_node.sum())
-    H = float(h_node.sum())
-    n = rows.size
-    if depth >= cfg.max_depth or n < 2:
-        return TreeNode(weight=-(G / (H + cfg.lambda_)) + 0.0)
+@dataclass
+class _Bins:
+    """The training columns coded by value rank.
 
-    # evaluate every candidate split of every feature in one shot:
-    # column-sorted cumulative G/H give left-side statistics at each boundary
-    X_node = X[rows]
-    order = np.argsort(X_node, axis=0, kind="stable")
-    xs = np.take_along_axis(X_node, order, axis=0)
-    gl = np.cumsum(g_node[order], axis=0)[:-1]
-    hl = np.cumsum(h_node[order], axis=0)[:-1]
-    gr = G - gl
-    hr = H - hl
+    Codes number the distinct values of every feature, feature after feature
+    and ascending within one, so code order is feature-major. Histograms use
+    another layout: features are grouped by the power of eight at or above
+    their count of distinct values, and each group is a block laid out as
+    (rank, feature, node) and padded to its widest feature. One cumulative sum
+    down a block gives each of its features' running sums from zero; padding
+    at most multiplies a histogram by eight, and there are few blocks.
+    """
+
+    codes: np.ndarray      # (rows, features) code of each training value
+    values: np.ndarray     # value of each code
+    feature: np.ndarray    # feature of each code
+    cell: np.ndarray       # histogram cell of each code
+    row_cells: np.ndarray  # (rows, features) cell of each training value
+    blocks: list[tuple[int, int, int]]   # first cell, ranks, features
+
+
+def _bin_columns(X: np.ndarray) -> _Bins:
+    codes = np.empty(X.shape, dtype=np.intp)
+    values = []
+    for f in range(X.shape[1]):
+        distinct, codes[:, f] = np.unique(X[:, f], return_inverse=True)
+        values.append(distinct)
+    sizes = np.array([v.size for v in values])
+    firsts = np.cumsum(sizes) - sizes
+    codes += firsts
+    cell = np.empty(sizes.sum(), dtype=np.intp)
+    blocks = []
+    start = 0
+    group = np.ceil(np.log2(sizes) / 3)   # the power of eight at or above the size
+    for g in np.unique(group):
+        members = np.flatnonzero(group == g)
+        for j, f in enumerate(members):
+            cell[firsts[f]:firsts[f] + sizes[f]] = start + np.arange(sizes[f]) * members.size + j
+        width = int(sizes[members].max())
+        blocks.append((start, width, members.size))
+        start += width * members.size
+    return _Bins(codes=codes, values=np.concatenate(values),
+                 feature=np.repeat(np.arange(X.shape[1]), sizes),
+                 cell=cell, row_cells=cell[codes], blocks=blocks)
+
+
+def _left_sums(bins: _Bins, cells: np.ndarray, n_nodes: int, weights=None) -> np.ndarray:
+    """(codes, nodes) sums of ``weights`` (default 1) over the node's rows whose
+    value is at or below the code's, each feature's summed from zero."""
+    start, width, count = bins.blocks[-1]
+    hist = np.bincount(cells, weights, minlength=(start + width * count) * n_nodes)
+    for start, width, count in bins.blocks:
+        block = hist[start * n_nodes:(start + width * count) * n_nodes].reshape(width, -1)
+        np.add.accumulate(block, 0, out=block)
+    return hist.reshape(-1, n_nodes).take(bins.cell, 0)
+
+
+def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray,
+          cfg: TrainConfig) -> tuple[TreeNode, np.ndarray, np.ndarray]:
+    """Grow one tree on gradients ``g`` level by level; return it with its
+    output on every training and validation row. (Gathers use ``take`` on
+    flat arrays: on arrays this small, numpy's call overhead is the cost.)"""
     lam = cfg.lambda_
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)) - cfg.gamma
-    valid = (xs[:-1] < xs[1:]) & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
-    gains[~valid] = -math.inf
+    # with h = 1, H is a row count, so a side with rows has H >= 1
+    least = max(cfg.min_child_weight, 1.0)
+    n_features = bins.codes.shape[1]
+    codes = bins.codes.ravel()
+    valid_values = X_valid.ravel()
+    n_codes = bins.values.size
+    code_index = np.arange(n_codes)[:, None]
+    out_train = np.empty(g.size)
+    out_valid = np.empty(X_valid.shape[0])
+    root = TreeNode()
+    level = [root]
+    # each live row carries the slot of its node within the level
+    rows = np.arange(g.size)
+    slot = np.zeros(g.size, dtype=np.intp)
+    vrows = np.arange(X_valid.shape[0])
+    vslot = np.zeros(X_valid.shape[0], dtype=np.intp)
+    cells = bins.row_cells.ravel()
+    hl = _left_sums(bins, cells, 1)
+    depth = 0
+    while True:
+        K = len(level)
+        g_rows = g.take(rows)
+        H = hl[-1]   # rows at or below the largest value of a feature: all of them
+        # rows are grouped by node, so a node's G is the pairwise sum of a slice
+        bounds = [0, *H.cumsum().tolist()]
+        G = np.array([g_rows[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+        weight = -(G / (H + lam)) + 0.0
+        # a row that goes on to a child is written again there
+        out_train[rows] = weight.take(slot)
+        out_valid[vrows] = weight.take(vslot)
+        parents = np.empty(0, dtype=np.intp)
+        if depth < cfg.max_depth:
+            gl = _left_sums(bins, cells, K, g_rows.repeat(n_features))
+            gr = G - gl
+            hr = H - hl
+            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)) - cfg.gamma
+            # An empty code repeats the gain of the present code before it, so
+            # the first maximum in code order is a present value: the lowest
+            # feature, then the lowest value.
+            gains[~((hl >= least) & (hr >= least))] = -math.inf
+            best = gains.argmax(0)
+            split = gains.ravel().take(best * K + np.arange(K)) > 0.0
+            parents = split.nonzero()[0]
+        if parents.size == 0:
+            for node, w in zip(level, weight.tolist()):
+                node.weight = w
+            return root, out_train, out_valid
 
-    # argmax over the feature-major layout resolves equal gains to the lowest
-    # feature index, then the lowest split value
-    flat = int(np.argmax(gains.T))
-    j, pos = divmod(flat, n - 1)
-    best_gain = float(gains[pos, j])
-    if not best_gain > 0.0:
-        return TreeNode(weight=-(G / (H + cfg.lambda_)) + 0.0)
+        # Route the training rows of splitting nodes to their children, in the
+        # order a sort-based grower visits them: the parent's order, stably
+        # sorted by the split feature. A node's sum then adds the same numbers
+        # in the same order, so leaf weights match that grower bit for bit.
+        n_split = parents.size
+        rank = split.cumsum() - 1
+        argmax_best = best.take(parents)
+        keep = split.take(slot)
+        rows, slot = rows[keep], rank.take(slot[keep])
+        row_best = argmax_best.take(slot)
+        row_code = codes.take(rows * n_features + bins.feature.take(row_best))
+        slot = 2 * slot + (row_code > row_best)
+        order = (slot * n_codes + row_code).argsort(kind="stable")
+        rows, slot = rows.take(order), slot.take(order)
+        # count the children's rows at or below each code
+        cells = (bins.row_cells.take(rows, 0) * (2 * n_split) + slot[:, None]).ravel()
+        parent_hl = hl.take(parents, 1)
+        hl = _left_sums(bins, cells, 2 * n_split)
 
-    split_value = (float(xs[pos, j]) + float(xs[pos + 1, j])) / 2.0
-    left_rows = rows[order[:pos + 1, j]]
-    right_rows = rows[order[pos + 1:, j]]
-    hl_sum = float(hl[pos, j])
-    return TreeNode(
-        feature_index=j,
-        split_value=split_value,
-        cover_left=hl_sum / H,
-        cover_right=(H - hl_sum) / H,
-        left=_grow(X, g, h, left_rows, depth + 1, cfg),
-        right=_grow(X, g, h, right_rows, depth + 1, cfg),
-    )
+        # Equivalent splits: a lower feature whose candidate sends exactly the
+        # same rows left, or exactly the same rows right, wins. Per code, left
+        # minus right rows at or below it is n_left only for the same
+        # partition and -n_right only for the mirrored one.
+        below = hl[:, 0::2] - hl[:, 1::2]
+        split_index = np.arange(n_split)
+        n_left = below.ravel().take(argmax_best * n_split + split_index)
+        best = ((below == n_left) | (below == n_left - H.take(parents))).argmax(0)
+        at_best = best * n_split + split_index
+        feature = bins.feature.take(best)
+        if True in (best != argmax_best).tolist():
+            # the left child of a mirrored split is the old right child
+            flip = below.ravel().take(at_best) != n_left
+            swap = np.arange(2 * n_split).reshape(n_split, 2)
+            swap[flip] = swap[flip, ::-1]
+            swap = swap.ravel()
+            hl = hl.take(swap, 1)
+            slot = swap.take(slot)
+            order = (slot * n_codes + codes.take(rows * n_features + feature.take(slot >> 1))).argsort(kind="stable")
+            rows, slot = rows.take(order), slot.take(order)
+            cells = (bins.row_cells.take(rows, 0) * (2 * n_split) + slot[:, None]).ravel()
+        n_left = parent_hl.ravel().take(at_best)
+        # The threshold is the midpoint to the next value present in the node,
+        # or that value where the midpoint rounds onto the lower one (adjacent
+        # doubles) or overflows, so that `x < threshold` splits as the codes do.
+        lower = bins.values.take(best)
+        upper = bins.values.take(((code_index > best) & (parent_hl > n_left)).argmax(0))
+        threshold = (lower + upper) / 2.0
+        threshold = np.where((lower < threshold) & (threshold <= upper), threshold, upper)
+
+        vkeep = split.take(vslot)
+        vrows, vslot = vrows[vkeep], rank.take(vslot[vkeep])
+        vright = valid_values.take(vrows * n_features + feature.take(vslot)) >= threshold.take(vslot)
+        vslot = 2 * vslot + vright
+
+        next_level = []
+        children = zip(feature.tolist(), threshold.tolist(), n_left.tolist(), H.take(parents).tolist())
+        for node, s, w in zip(level, split.tolist(), weight.tolist()):
+            if not s:
+                node.weight = w
+                continue
+            f, t, nl, h = next(children)
+            node.feature_index = f
+            node.split_value = t
+            node.cover_left = nl / h
+            node.cover_right = (h - nl) / h
+            node.left = TreeNode()
+            node.right = TreeNode()
+            next_level += (node.left, node.right)
+        level = next_level
+        depth += 1
 
 
 def _tree_predict(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -210,7 +382,7 @@ def train(
     round actually run.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
-    X_valid = np.asarray(X_valid, dtype=np.float64)
+    X_valid = np.ascontiguousarray(X_valid, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
     y_valid = np.asarray(y_valid, dtype=np.float64)
     _check_matrix(X_train)
@@ -223,8 +395,7 @@ def train(
     base = float(np.mean(y_train))
     pred_train = np.full(y_train.size, base)
     pred_valid = np.full(y_valid.size, base)
-    hess = np.ones(y_train.size)
-    all_rows = np.arange(y_train.size)
+    bins = _bin_columns(X_train)
 
     trees: list[TreeNode] = []
     history: list[dict] = []
@@ -233,10 +404,13 @@ def train(
     stale = 0
     for rnd in range(1, config.rounds_max + 1):
         grad = pred_train - y_train
-        tree = _grow(X_train, grad, hess, all_rows, 0, config)
+        # with lambda = 0, a code with no row on one side of it divides 0 by 0;
+        # such a code is no candidate
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tree, out_train, out_valid = _grow(bins, X_valid, grad, config)
         trees.append(tree)
-        pred_train += config.learning_rate * tree_predict(tree, X_train)
-        pred_valid += config.learning_rate * tree_predict(tree, X_valid)
+        pred_train += config.learning_rate * out_train
+        pred_valid += config.learning_rate * out_valid
         valid_rmse = _rmse(pred_valid, y_valid)
         history.append({
             "round": rnd,
@@ -313,20 +487,6 @@ def evaluate(ensemble: Ensemble, X: np.ndarray, y: np.ndarray) -> dict[str, floa
 # ---------------------------------------------------------------------------
 # serialization: self-describing JSON, stable byte-for-byte for a given model
 
-def _node_to_list(node: TreeNode, out: list[dict]) -> None:
-    if node.is_leaf:
-        out.append({"leaf": node.weight})
-        return
-    out.append({
-        "feature": node.feature_index,
-        "split": node.split_value,
-        "cover_left": node.cover_left,
-        "cover_right": node.cover_right,
-    })
-    _node_to_list(node.left, out)
-    _node_to_list(node.right, out)
-
-
 def _node_from_list(nodes: list[dict], pos: int) -> tuple[TreeNode, int]:
     spec = nodes[pos]
     if "leaf" in spec:
@@ -343,7 +503,62 @@ def _node_from_list(nodes: list[dict], pos: int) -> tuple[TreeNode, int]:
     ), pos
 
 
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _JSON_SPECIAL.get(text, text)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+_LEAF_JSON = '   {\n    "leaf": %s\n   }'
+_SPLIT_JSON = ('   {\n    "cover_left": %s,\n    "cover_right": %s,\n'
+               '    "feature": %s,\n    "split": %s\n   }')
+
+
+def _tree_json(tree: TreeNode) -> str:
+    """One tree's pre-order node list, indented as the third level of a
+    ``json.dumps(..., sort_keys=True, indent=1)`` document. Node fields hold
+    Python numbers, which ``repr`` writes as ``json`` does when finite."""
+    templates = []
+    values = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.left is None:
+            templates.append(_LEAF_JSON)
+            values.append(node.weight)
+        else:
+            templates.append(_SPLIT_JSON)
+            values += (node.cover_left, node.cover_right, node.feature_index, node.split_value)
+            stack += (node.right, node.left)
+    texts = list(map(repr, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_JSON_SPECIAL.get(t, t) for t in texts]
+    return "  [\n" + ",\n".join(templates) % tuple(texts) + "\n  ]"
+
+
+def _record_json(record: dict) -> str:
+    """A flat record (scalar values), indented as the second level."""
+    if not record:
+        return "  {}"
+    fields = ",\n".join(f"   {json.dumps(key)}: {_json_scalar(record[key])}" for key in sorted(record))
+    return "  {\n" + fields + "\n  }"
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+
 def to_json(ensemble: Ensemble, config: TrainConfig | None = None, history: list[dict] | None = None) -> str:
+    """The model as ``json.dumps(doc, sort_keys=True, indent=1)`` of its
+    document, byte for byte; the trees and the history (flat records) are
+    written directly, without building per-node dicts."""
     doc = {
         "format": "airnoise-gbm",
         "version": 1,
@@ -362,13 +577,13 @@ def to_json(ensemble: Ensemble, config: TrainConfig | None = None, history: list
             "split_fraction": config.split_fraction,
             "seed": config.seed,
         },
-        "history": history or [],
+        "history": [],
     }
-    for tree in ensemble.trees:
-        nodes: list[dict] = []
-        _node_to_list(tree, nodes)
-        doc["trees"].append(nodes)
-    return json.dumps(doc, sort_keys=True, indent=1)
+    # the two empty lists are top-level keys, one space in; no string in the
+    # document can hold a raw line end, so each marker occurs once
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    text = text.replace('\n "history": []', '\n "history": ' + _json_list([_record_json(r) for r in history or []]), 1)
+    return text.replace('\n "trees": []', '\n "trees": ' + _json_list([_tree_json(t) for t in ensemble.trees]), 1)
 
 
 def from_json(text: str) -> tuple[Ensemble, dict | None, list[dict]]:

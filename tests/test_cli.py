@@ -248,3 +248,54 @@ def test_laeq_miss_drops_manifest_entry_first(small_bundle, tmp_path, monkeypatc
         main(["laeq", "--in", str(small_bundle), "--out", str(out), "--retention-dba", "70"])
     # the old output is still there, but no longer recorded as fresh
     assert "laeq" not in json.loads((out / "manifest.json").read_text())
+
+
+def _exposure_summary(capsys, bundle, out):
+    capsys.readouterr()
+    assert main(["exposure", "--in", str(bundle), "--out", str(out)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cut", ["mid-row", "line-aligned"])
+def test_torn_fused_cache_is_recomputed(small_bundle, tmp_path, capsys, cut):
+    out = tmp_path / "out"
+    first = _exposure_summary(capsys, small_bundle, out)
+    path = out / "fused.csv"
+    whole = path.read_bytes()
+    if cut == "mid-row":
+        path.write_bytes(whole[:len(whole) // 2])
+    else:
+        lines = whole.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:len(lines) // 2]))
+    assert _exposure_summary(capsys, small_bundle, out) == first
+    assert path.read_bytes() == whole
+
+
+def test_torn_model_cache_is_retrained(small_bundle, tmp_path):
+    out = tmp_path / "out"
+    args = ["report", "--in", str(small_bundle), "--out", str(out), "--seed", "11"]
+    assert main(args) == 0
+    report = (out / "report.json").read_bytes()
+    path = out / "model_takeoff.json"
+    model = path.read_bytes()
+    path.write_bytes(model[:len(model) // 2])
+    assert main(args) == 0
+    assert (out / "report.json").read_bytes() == report
+    assert path.read_bytes() == model
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("key,value", [("mapping", "nearst"), ("format", "xml")])
+def test_config_choice_outside_flag_choices_exits_2(small_bundle, tmp_path, capsys, key, value):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"seed = 3\n{key} = {value}\n")
+    capsys.readouterr()
+    rc = main(["exposure", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--config", str(conf)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {conf}:2: {key}: invalid value '{value}'\n"
+
+
+def test_config_choices_match_flag_choices(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("mapping = nearest\nformat = json\n")
+    assert load_config_file(conf) == {"mapping": "nearest", "out_format": "json"}

@@ -1,4 +1,5 @@
 import json
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -111,6 +112,17 @@ def test_two_row_newton_step_exact():
     assert predict_batch(ens, X).tolist() == [0.0, 10.0]
 
 
+def test_split_between_adjacent_doubles_separates_them():
+    # (1 + nextafter(1)) / 2 rounds to 1.0, which `x < split` would send right
+    X = np.array([[1.0], [math.nextafter(1.0, 2.0)]])
+    y = np.array([0.0, 10.0])
+    cfg = TrainConfig(rounds_max=10, max_depth=1, lambda_=0.0, gamma=0.0,
+                      learning_rate=1.0, min_child_weight=0.0, seed=0)
+    ens, history = train(X, y, X, y, cfg, ["x"])
+    assert predict_batch(ens, X).tolist() == [0.0, 10.0]
+    assert history[0]["train_rmse"] == 0.0
+
+
 def test_train_rmse_non_increasing():
     rng = np.random.default_rng(9)
     X = rng.normal(0, 1, (200, 5))
@@ -176,6 +188,112 @@ def test_leaf_weight_identity():
         check(node.right, right)
 
     check(tree, np.arange(100))
+
+
+# --- the level-wise grower against the recursive reference ------------------------
+
+def _reference_grow(X, g, rows, depth, cfg):
+    """The sort-based recursive exact-greedy grower the level-wise one replaced."""
+    g_node = g[rows]
+    G = float(g_node.sum())
+    H = float(rows.size)
+    n = rows.size
+    if depth >= cfg.max_depth or n < 2:
+        return TreeNode(weight=-(G / (H + cfg.lambda_)) + 0.0)
+    X_node = X[rows]
+    order = np.argsort(X_node, axis=0, kind="stable")
+    xs = np.take_along_axis(X_node, order, axis=0)
+    gl = np.cumsum(g_node[order], axis=0)[:-1]
+    hl = np.cumsum(np.ones_like(g_node)[order], axis=0)[:-1]
+    gr = G - gl
+    hr = H - hl
+    lam = cfg.lambda_
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)) - cfg.gamma
+    valid = (xs[:-1] < xs[1:]) & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+    gains[~valid] = -math.inf
+    j, pos = divmod(int(np.argmax(gains.T)), n - 1)
+    if not float(gains[pos, j]) > 0.0:
+        return TreeNode(weight=-(G / (H + cfg.lambda_)) + 0.0)
+    hl_sum = float(hl[pos, j])
+    return TreeNode(
+        feature_index=j,
+        split_value=(float(xs[pos, j]) + float(xs[pos + 1, j])) / 2.0,
+        cover_left=hl_sum / H,
+        cover_right=(H - hl_sum) / H,
+        left=_reference_grow(X, g, rows[order[:pos + 1, j]], depth + 1, cfg),
+        right=_reference_grow(X, g, rows[order[pos + 1:, j]], depth + 1, cfg),
+    )
+
+
+def _reference_train(X, y, cfg):
+    """Boosting with the reference grower, validating on the training rows."""
+    pred = np.full(y.size, float(np.mean(y)))
+    trees, best_rmse, best_round, stale = [], math.sqrt(np.mean((pred - y) ** 2)), 0, 0
+    for rnd in range(1, cfg.rounds_max + 1):
+        tree = _reference_grow(X, pred - y, np.arange(y.size), 0, cfg)
+        trees.append(tree)
+        pred = pred + cfg.learning_rate * tree_predict(tree, X)
+        rmse = math.sqrt(np.mean((pred - y) ** 2))
+        if rmse < best_rmse:
+            best_rmse, best_round, stale = rmse, rnd, 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stopping_patience:
+                break
+    return Ensemble(float(np.mean(y)), cfg.learning_rate, trees[:best_round], ["f"] * X.shape[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 150])
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("lambda_,gamma,min_child_weight", [
+    (0.0, 0.0, 0.0), (8.0, 0.0, 10.0), (1.0, 0.05, 1.0), (0.0, 0.5, 10.0),
+])
+def test_level_wise_matches_recursive_reference(n, max_depth, lambda_, gamma, min_child_weight):
+    rng = np.random.default_rng(n * 100 + max_depth)
+    X = rng.normal(0, 1, (n, 4))
+    y = X[:, 0] + np.sin(2 * X[:, 1]) + rng.normal(0, 0.2, n)
+    cfg = TrainConfig(rounds_max=20, max_depth=max_depth, lambda_=lambda_, gamma=gamma,
+                      min_child_weight=min_child_weight, learning_rate=0.3,
+                      early_stopping_patience=20, seed=0)
+    ens, history = train(X, y, X, y, cfg, list("abcd"))
+    ref = _reference_train(X, y, cfg)
+    assert np.abs(predict_batch(ens, X) - predict_batch(ref, X)).max() <= 1e-9
+    if ens.trees:
+        refit = evaluate(ens, X, y)
+        assert refit["rmse"] == pytest.approx(history[len(ens.trees) - 1]["train_rmse"], abs=1e-9)
+        assert refit["mae"] == pytest.approx(history[len(ens.trees) - 1]["valid_mae"], abs=1e-9)
+
+
+def _split_features(ens):
+    counts = {}
+
+    def walk(node):
+        if not node.is_leaf:
+            counts[node.feature_index] = counts.get(node.feature_index, 0) + 1
+            walk(node.left)
+            walk(node.right)
+
+    for tree in ens.trees:
+        walk(tree)
+    return counts
+
+
+def test_equivalent_splits_take_the_lowest_feature():
+    # columns 1-3 are a duplicate, a negated and an affine copy of column 0,
+    # so each of their splits sends exactly the rows of a column-0 split left
+    # or right; column 4 is independent noise
+    rng = np.random.default_rng(3)
+    x0 = rng.integers(0, 12, 300).astype(float)
+    X = np.column_stack([x0, x0, -x0, 2 * x0 + 3, rng.normal(size=300)])
+    y = np.sin(x0) + rng.normal(0, 0.1, 300)
+    cfg = TrainConfig(rounds_max=100, max_depth=4, early_stopping_patience=100, seed=0)
+    ens, _ = train(X, y, X, y, cfg, list("abcde"))
+    counts = _split_features(ens)
+    assert set(counts) == {0, 4}
+    # reversed, the noise is column 0 and the affine copy is the lowest of the four
+    ens_rev, _ = train(X[:, ::-1], y, X[:, ::-1], y, cfg, list("edcba"))
+    assert set(_split_features(ens_rev)) == {0, 1}
 
 
 def test_non_finite_inputs_rejected():
@@ -289,6 +407,50 @@ def test_serialized_document_shape():
         {"leaf": -1.0},
         {"leaf": 1.0},
     ]]
+
+
+def _reference_json(ens, cfg=None, history=None):
+    def nodes(node, out):
+        if node.is_leaf:
+            out.append({"leaf": node.weight})
+            return out
+        out.append({"feature": node.feature_index, "split": node.split_value,
+                    "cover_left": node.cover_left, "cover_right": node.cover_right})
+        nodes(node.left, out)
+        nodes(node.right, out)
+        return out
+
+    doc = json.loads(to_json(Ensemble(ens.base_score, ens.learning_rate, [], ens.feature_names), cfg))
+    doc["trees"] = [nodes(t, []) for t in ens.trees]
+    doc["history"] = history or []
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return TreeNode(weight=float(rng.choice([rng.normal(), 0.0, -0.0, 1e300, 3])))
+    return TreeNode(feature_index=int(rng.integers(0, 5)), split_value=float(rng.normal() * 10.0 ** rng.integers(-8, 8)),
+                    cover_left=float(rng.random()), cover_right=float(rng.random()),
+                    left=_random_tree(rng, depth - 1), right=_random_tree(rng, depth - 1))
+
+
+def test_to_json_bytes_match_the_json_module():
+    rng = np.random.default_rng(12)
+    names = ["a", "b\"q", "c\u00e9", "inf", 'd"\n']
+    cfg = TrainConfig(rounds_max=30, seed=5)
+    for k in range(30):
+        ens = Ensemble(float(rng.normal()), 0.05, [_random_tree(rng, 6) for _ in range(k % 5)], names)
+        history = [{"round": r, "train_mae": float(rng.random()), "valid_rmse": float("nan") if r == 2 else 1.0}
+                   for r in range(k % 4)]
+        for args in ((), (cfg,), (cfg, history), (None, history)):
+            assert to_json(ens, *args) == _reference_json(ens, *args)
+    special = Ensemble(0.0, 0.1, [TreeNode(weight=math.inf), _stump(split=-math.inf, left=math.nan)], ["x"])
+    assert to_json(special) == _reference_json(special)
+
+    X = rng.normal(0, 1, (120, 5))
+    y = X[:, 0] + rng.normal(0, 0.1, 120)
+    ens, history = train(X, y, X, y, cfg, names)
+    assert to_json(ens, cfg, history) == _reference_json(ens, cfg, history)
 
 
 def test_tree_predict_routing():
