@@ -11,7 +11,14 @@ flags. All randomness derives from the single --seed through named
 sub-streams, so adding a consumer never perturbs the others.
 
 Exit status: 0 on success, 1 on error-severity validation findings or data
-errors, 2 on usage errors.
+errors (a missing input file among them), 2 on usage errors.
+
+`train`, `explain` and `report` fit the last model of MODEL_TARGETS in one
+forked worker while this process fits the others, when more than one CPU is
+usable (see `_Worker`). The models are the same bytes either way.
+
+Layer modules that only some commands use are imported inside those commands,
+so that `validate` loads no more than it runs.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import argparse
 import hashlib
 import json
 import os
+import signal
+import struct
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -27,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acoustics, exposure, fusion, gbm, ingest, shapley, synth, validation
-from .errors import AirnoiseError, InvalidConfig, UsageError
+from . import acoustics, errors, fusion, ingest
+from .errors import AirnoiseError, InvalidConfig, MalformedConfig, UsageError
 from .ingest import Operation
 
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
@@ -58,6 +67,8 @@ class RunConfig:
     patience: int = 30
 
     def train_config(self) -> gbm.TrainConfig:
+        from . import gbm
+
         return gbm.TrainConfig(
             rounds_max=self.rounds_max,
             max_depth=self.max_depth,
@@ -99,17 +110,22 @@ CONFIG_KEYS = {
 
 
 def load_config_file(path: Path) -> dict:
-    """Parse a key=value config file; unknown keys are usage errors."""
+    """Parse a key=value config file; a file that cannot be read, a line
+    without ``=`` and an unknown key are usage errors."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
     out = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise InvalidConfig(f"{path}:{lineno}: expected key=value")
+            raise MalformedConfig(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
+            raise MalformedConfig(f"{path}:{lineno}: unknown key {key!r}")
         attr, conv = CONFIG_KEYS[key]
         out[attr] = _convert(conv, value, f"{path}:{lineno}: {key}")
     return out
@@ -221,12 +237,15 @@ class Workspace:
 # shared pipeline pieces
 
 def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime, datetime]:
-    if cfg.window_start is not None and cfg.window_end is not None:
-        return (cfg.window_start, cfg.window_end)
-    if not weather:
-        raise InvalidConfig("cannot infer the study window from an empty weather stream")
-    hours = sorted(w.hour_start for w in weather)
-    return (hours[0], hours[-1] + timedelta(hours=1))
+    """The configured window; a bound not given is inferred from weather coverage."""
+    start, end = cfg.window_start, cfg.window_end
+    if start is None or end is None:
+        if not weather:
+            raise InvalidConfig("cannot infer the study window from an empty weather stream")
+        hours = sorted(w.hour_start for w in weather)
+        start = hours[0] if start is None else start
+        end = hours[-1] + timedelta(hours=1) if end is None else end
+    return (start, end)
 
 
 def _with_window(cfg: RunConfig) -> RunConfig:
@@ -310,7 +329,108 @@ def _model_rows(table: fusion.FeatureTable, name: str):
     return table.matrix[keep], y_all[keep], keys
 
 
+# A worker's message: kind (b"T" for the text of its result, b"E" for an
+# exception's class name and message) and the payload's length in bytes.
+_MESSAGE_HEADER = struct.Struct("!cQ")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """``work()``, which returns text, computed in one forked worker while the
+    caller computes something else; ``result()`` waits for the text.
+
+    Where ``os.fork`` is missing or fails, or only one CPU is usable,
+    ``result()`` calls ``work()`` itself. The worker sends only the text, or
+    the class name and message of what it raised, through a pipe, and the
+    caller alone writes files. The only other thread of the process is
+    OpenBLAS's pool, which stops itself before a fork (``pthread_atfork``).
+    """
+
+    def __init__(self, what: str, work):
+        self.what = what
+        self.work = work
+        self.pid = None
+        if not hasattr(os, "fork") or _usable_cpus() < 2:
+            return
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if self.pid == 0:
+            self._child(read_fd, write_fd)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def _child(self, read_fd: int, write_fd: int):
+        """The worker's whole life. It ends in ``os._exit``, so it never
+        returns into the caller's stack, flushes inherited stdio or runs exit
+        handlers and test finalizers; status 0 means a whole message was sent."""
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                kind, text = b"T", self.work()
+            except Exception as exc:
+                kind, text = b"E", f"{type(exc).__name__}\n{exc}"
+            payload = text.encode("utf-8")
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_MESSAGE_HEADER.pack(kind, len(payload)) + payload)
+            status = 0
+        except BaseException:  # a failure on the way out; the parent reports status 1
+            pass
+        finally:
+            os._exit(status)
+
+    def result(self) -> str:
+        """The worker's text, once it has exited; an exception it raised is
+        raised here, and any other failure is a one-line AirnoiseError."""
+        if self.pid is None:
+            return self.work()
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            raise AirnoiseError(f"{self.what} worker killed by signal {-code}")
+        if code > 0:
+            raise AirnoiseError(f"{self.what} worker exited with status {code}")
+        size = _MESSAGE_HEADER.size
+        if len(data) < size or len(data) != size + _MESSAGE_HEADER.unpack_from(data)[1]:
+            raise AirnoiseError(f"{self.what} worker sent a short message ({len(data)} bytes)")
+        text = data[size:].decode("utf-8")
+        if data[:1] == b"T":
+            return text
+        name, _, message = text.partition("\n")
+        cls = getattr(errors, name, None)
+        if isinstance(cls, type) and issubclass(cls, AirnoiseError):
+            exc = cls.__new__(cls)
+            Exception.__init__(exc, message)  # the class and message the worker raised
+            raise exc
+        first_line = (message.splitlines() or [""])[0]
+        raise AirnoiseError(f"{self.what} worker raised {name}: {first_line}")
+
+    def kill(self) -> None:
+        """Stop and reap the worker, if it is still running."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            self.pipe.close()
+
+
 def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple[gbm.Ensemble, list[dict]]]:
+    from . import gbm
+
     outputs = {name: ws.out / f"model_{name}.json" for name in MODEL_TARGETS}
     digest = ws.digest(ws.out / "features.csv", vars(cfg.train_config()), cfg.seed)
     if ws.fresh("models", digest, list(outputs.values())):
@@ -322,16 +442,29 @@ def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple[gbm.E
 
     ws.forget("models")
     train_part, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
-    result = {}
-    for name in MODEL_TARGETS:
+    config = cfg.train_config()
+
+    def fit(name):
         X_train, y_train, _ = _model_rows(train_part, name)
         X_test, y_test, _ = _model_rows(test_part, name)
-        ens, history = gbm.train(X_train, y_train, X_test, y_test, cfg.train_config(), table.feature_names)
-        text = gbm.to_json(ens, cfg.train_config(), history)
+        ens, history = gbm.train(X_train, y_train, X_test, y_test, config, table.feature_names)
+        return ens, history, gbm.to_json(ens, config, history)
+
+    # the fits share no state: the last one runs beside the others
+    *names, last = MODEL_TARGETS
+    worker = _Worker(f"{last} model", lambda: fit(last)[2])
+    try:
+        fitted = {name: fit(name) for name in names}
+        text = worker.result()
+    except BaseException:
+        worker.kill()
+        raise
+    ens, _, history = gbm.from_json(text)
+    fitted[last] = (ens, history, text)
+    for name, (_, _, text) in fitted.items():
         _write_atomic(outputs[name], lambda p: p.write_text(text, encoding="utf-8"))
-        result[name] = (ens, history)
     ws.record("models", digest, list(outputs.values()))
-    return result
+    return {name: (ens, history) for name, (ens, history, _) in fitted.items()}
 
 
 def _write_records(path_base: Path, fmt: str, header: list[str], rows: list[list], csv_writer) -> Path:
@@ -348,6 +481,8 @@ def _write_records(path_base: Path, fmt: str, header: list[str], rows: list[list
 
 def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
     """Exposure matrices, Gini series, basis comparison and rotation tables."""
+    from . import exposure
+
     matrices = exposure.exposure_matrices(records, cfg.thresholds)
     residential = exposure.exposure_matrices(records, cfg.thresholds, exposure.BASIS_RESIDENTIAL)
     ginis = {t: exposure.gini_series(m) for t, m in matrices.items()}
@@ -395,6 +530,8 @@ def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
 
 def _stage_shap(ws: Workspace, cfg: RunConfig, table, models):
     """Attribution exports per model over its held-out rows."""
+    from . import gbm, shapley
+
     _, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
     summaries = {}
     for name, (ens, _) in models.items():
@@ -431,6 +568,8 @@ def _stage_validation(cfg: RunConfig, population, tracts):
 
     Works from the raw population stream so unmapped tracts are covered too.
     """
+    from . import validation
+
     district_of = {t.tract_id: t.district_id for t in tracts}
     by_tract: dict[str, dict[datetime, float]] = {}
     for p in population:
@@ -481,6 +620,8 @@ def _write_validation_csv(ws: Workspace, result: dict) -> None:
 # subcommands
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     cfg = resolve_config(args)
     scenario = synth.ScenarioConfig(seed=cfg.seed, days=cfg.days)
     bundle, truth = synth.write_scenario(scenario, cfg.out_dir)
@@ -565,6 +706,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import exposure
+
     cfg = _with_window(resolve_config(args))
     ws = Workspace(cfg.out_dir)
     window = (cfg.window_start, cfg.window_end)
@@ -700,6 +843,9 @@ def main(argv=None) -> int:
         return 2
     except AirnoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a missing or unreadable file, named in one line
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -145,3 +145,8 @@ class InvalidConfig(AirnoiseError):
 
 class UsageError(AirnoiseError):
     """A malformed flag or configuration value; the CLI exits with status 2."""
+
+
+class MalformedConfig(UsageError, InvalidConfig):
+    """A config-file line that is not ``key = value`` with a known key (a usage
+    error, and still the InvalidConfig it was before)."""

@@ -193,7 +193,9 @@ def _bin_columns(X: np.ndarray) -> _Bins:
     blocks = []
     start = 0
     group = np.ceil(np.log2(sizes) / 3)   # the power of eight at or above the size
-    for g in np.unique(group):
+    # sorted(set()), not np.unique: np.unique of a plain array imports numpy.ma
+    # (about 40 ms) to ask whether it is masked
+    for g in sorted(set(group.tolist())):
         members = np.flatnonzero(group == g)
         for j, f in enumerate(members):
             cell[firsts[f]:firsts[f] + sizes[f]] = start + np.arange(sizes[f]) * members.size + j

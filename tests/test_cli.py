@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import airnoise
+from airnoise import cli, gbm
 from airnoise.cli import build_parser, load_config_file, main, resolve_config
-from airnoise.errors import InvalidConfig
+from airnoise.errors import InvalidConfig, NonFiniteTarget
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +306,155 @@ def test_config_choices_match_flag_choices(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("mapping = nearest\nformat = json\n")
     assert load_config_file(conf) == {"mapping": "nearest", "out_format": "json"}
+
+
+def test_missing_config_file_exits_2_with_one_line(small_bundle, tmp_path, capsys):
+    conf = tmp_path / "missing.cfg"
+    capsys.readouterr()
+    assert main(["validate", "--in", str(small_bundle), "--out", str(tmp_path / "v"), "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == f"error: {conf}: cannot read config file: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command,first_read", [("validate", "spl.csv"), ("report", "weather.csv")])
+def test_missing_input_exits_1_with_one_line(tmp_path, capsys, command, first_read):
+    missing = tmp_path / "nonexistent"
+    capsys.readouterr()
+    assert main([command, "--in", str(missing), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {missing / first_read}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("line,problem", [("nonsense = 1", "unknown key 'nonsense'"),
+                                          ("seed 3", "expected key=value")])
+def test_malformed_config_line_exits_2(small_bundle, tmp_path, capsys, line, problem):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"retention_dba = 60\n{line}\n")
+    capsys.readouterr()
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == f"error: {conf}:2: {problem}\n"
+
+
+@pytest.mark.parametrize("flag,value,hours", [
+    ("--window-start", "2023-01-02T00:00", ("2023-01-02T00:00", "2023-01-03T23:00")),
+    ("--window-end", "2023-01-02T00:00", ("2023-01-01T00:00", "2023-01-01T23:00")),
+])
+def test_half_given_window_infers_only_the_other_bound(small_bundle, tmp_path, flag, value, hours):
+    out = tmp_path / "out"
+    assert main(["exposure", "--in", str(small_bundle), "--out", str(out), flag, value]) == 0
+    header = (out / "exposure_65.csv").read_text().splitlines()[0].split(",")
+    assert (header[1], header[-1]) == hours
+    assert len(header) - 1 == 24 * (2 if flag == "--window-start" else 1)
+
+
+def test_validate_imports_only_the_layers_it_uses(small_bundle, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(airnoise.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "airnoise.cli", "validate",
+         "--in", str(small_bundle), "--out", str(tmp_path / "v")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "airnoise.ingest" in imported
+    assert not imported & {f"airnoise.{m}" for m in ("synth", "gbm", "shapley", "exposure", "validation")}
+
+
+# --- the models stage's forked worker ---------------------------------------
+
+def _timeout(signum, frame):
+    raise TimeoutError("the models stage did not finish")
+
+
+@pytest.fixture
+def no_worker_left():
+    """Bound the test's wait, then check that it left no child process."""
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of usable CPUs the models stage sees; count its forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+        return forks
+    return set_cpus
+
+
+def test_worker_and_inline_models_are_byte_identical(small_bundle, tmp_path, no_worker_left, cpus):
+    outputs = {}
+    for n in (2, 1):
+        forks = cpus(n)
+        forks.clear()
+        out = tmp_path / f"cpus{n}"
+        assert main(["report", "--in", str(small_bundle), "--out", str(out), "--seed", "11"]) == 0
+        assert len(forks) == (1 if n == 2 else 0)
+        outputs[n] = {name: (out / name).read_bytes()
+                      for name in ("model_takeoff.json", "model_landing.json", "report.json")}
+    assert outputs[2] == outputs[1]
+
+
+@pytest.fixture
+def failing_fit(monkeypatch):
+    """Make ``gbm.train`` call ``fail()`` when it is given the rows of model ``name``."""
+    current = []
+    real_rows, real_train = cli._model_rows, gbm.train
+
+    def rows(table, name):
+        current.append(name)
+        return real_rows(table, name)
+
+    def install(name, fail):
+        def train(*args, **kwargs):
+            if current[-1] == name:
+                fail()
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_model_rows", rows)
+        monkeypatch.setattr(gbm, "train", train)
+    return install
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
+@pytest.mark.parametrize("name", ["landing", "takeoff"])
+def test_fit_error_exits_1_with_one_line(small_bundle, tmp_path, capsys, no_worker_left, cpus, failing_fit,
+                                         n_cpus, name):
+    def fail():
+        raise NonFiniteTarget(f"{name} targets are not finite")
+
+    cpus(n_cpus)
+    failing_fit(name, fail)
+    capsys.readouterr()
+    assert main(["report", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--seed", "11"]) == 1
+    assert capsys.readouterr().err == f"error: {name} targets are not finite\n"
+    assert not (tmp_path / "out" / "model_takeoff.json").exists()
+
+
+@pytest.mark.parametrize("death,message", [
+    (lambda: os._exit(3), "landing model worker exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "landing model worker killed by signal 9"),
+    (lambda: os._exit(0), "landing model worker sent a short message (0 bytes)"),
+    (lambda: 1 / 0, "landing model worker raised ZeroDivisionError: division by zero"),
+], ids=["exit-3", "sigkill", "exit-0", "bug"])
+def test_worker_death_exits_1_with_one_line(small_bundle, tmp_path, capsys, no_worker_left, cpus, failing_fit,
+                                            death, message):
+    cpus(2)
+    failing_fit("landing", death)
+    capsys.readouterr()
+    assert main(["report", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--seed", "11"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
