@@ -1,0 +1,41 @@
+"""Micro-benchmarks of the SPL layers, outside the tier-1 suite.
+
+    python -m pytest bench/ --benchmark-only
+
+The bundle is the 2-day seed-101 scenario at the real 1200 samples per
+terminal-hour, the shape of the benchmark's `dense` workload: `synth`
+writing it, then `parse_spl` and `hourly_series` reading it back as the
+laeq stage of `airnoise report` does.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from airnoise import acoustics, ingest, synth
+
+DENSE = synth.ScenarioConfig(seed=101, days=2, samples_per_hour=1200)
+ROWS = DENSE.days * 24 * 5 * DENSE.samples_per_hour  # 5 terminals
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dense")
+    synth.write_scenario(DENSE, out)
+    return out
+
+
+def test_write_scenario(benchmark, tmp_path):
+    written, _ = benchmark(synth.write_scenario, DENSE, tmp_path)
+    assert len(written.spl) == ROWS
+
+
+def test_parse_spl(benchmark, bundle):
+    samples = benchmark(ingest.parse_spl, bundle / "spl.csv")
+    assert len(samples) == ROWS
+
+
+def test_hourly_series(benchmark, bundle):
+    samples = ingest.parse_spl(bundle / "spl.csv")
+    series = benchmark(acoustics.hourly_series, samples, acoustics.DEFAULT_RETENTION_DBA)
+    assert len(series) == ROWS // DENSE.samples_per_hour

@@ -237,7 +237,8 @@ class Workspace:
 # shared pipeline pieces
 
 def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime, datetime]:
-    """The configured window; a bound not given is inferred from weather coverage."""
+    """The configured window; a bound not given is inferred from weather
+    coverage. An empty window (start not before end) is a usage error."""
     start, end = cfg.window_start, cfg.window_end
     if start is None or end is None:
         if not weather:
@@ -245,15 +246,17 @@ def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime
         hours = sorted(w.hour_start for w in weather)
         start = hours[0] if start is None else start
         end = hours[-1] + timedelta(hours=1) if end is None else end
+    if start >= end:
+        raise UsageError(f"empty study window: start {start.isoformat(timespec='minutes')} "
+                         f"is not before end {end.isoformat(timespec='minutes')}")
     return (start, end)
 
 
 def _with_window(cfg: RunConfig) -> RunConfig:
     """Pin the study window before any stage digest is computed, so an
     inferred window is part of every cache key."""
-    if cfg.window_start is not None and cfg.window_end is not None:
-        return cfg
-    weather = ingest.parse_weather(cfg.in_dir / "weather.csv")
+    given = cfg.window_start is not None and cfg.window_end is not None
+    weather = [] if given else ingest.parse_weather(cfg.in_dir / "weather.csv")
     window = _window(cfg, weather)
     return replace(cfg, window_start=window[0], window_end=window[1])
 
@@ -487,7 +490,8 @@ def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
     residential = exposure.exposure_matrices(records, cfg.thresholds, exposure.BASIS_RESIDENTIAL)
     ginis = {t: exposure.gini_series(m) for t, m in matrices.items()}
     comparisons = {t: exposure.compare_bases(matrices[t], residential[t]) for t in matrices}
-    correlations = exposure.rotation_contrast(series)
+    start, end = cfg.window_start, cfg.window_end
+    correlations = exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])
 
     fmt = cfg.out_format
     for theta, matrix in matrices.items():

@@ -50,6 +50,9 @@ from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, SplSample
 # never imputed.
 SAMPLES_PER_HOUR_NOMINAL = 1200
 
+# rows of spl.csv formatted and written at a time
+SPL_WRITE_ROWS = 1 << 13
+
 
 class Operation(enum.Enum):
     DEPARTURE = "DEPARTURE"
@@ -363,10 +366,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _ts(ts: datetime) -> str:
-    return ts.isoformat(timespec="seconds")
-
-
 def _hs(ts: datetime) -> str:
     return ts.isoformat(timespec="minutes")
 
@@ -383,7 +382,41 @@ def _write(stream_or_path, header: Sequence[str], rows: Iterable[Sequence[str]])
 
 
 def write_spl(samples: Iterable[SplSample], dest) -> None:
-    _write(dest, SPL_HEADER, ((s.nmt_id, _ts(s.timestamp), _fmt(s.level)) for s in samples))
+    """Write the stream from its columns.
+
+    Each distinct whole-second timestamp is formatted once for the stream,
+    and each distinct level (by bit pattern, so -0.0 keeps its sign) once per
+    chunk of ``SPL_WRITE_ROWS`` rows; a chunk's rows gather their strings by
+    index and are written as one string. Chunks keep the temporaries small,
+    so memory grows with the stream only by the formatted timestamps.
+    """
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            write_spl(samples, fh)
+        return
+    columns = SplColumns.from_samples(samples)
+    # the distinct whole seconds (datetime64 floors, as isoformat(timespec=
+    # "seconds") drops the microseconds); not np.unique, which on a plain
+    # array hashes, slower here, and imports numpy.ma
+    stamps = np.sort(columns.times.astype("datetime64[s]"))
+    distinct = np.ones(len(stamps), bool)
+    distinct[1:] = stamps[1:] != stamps[:-1]
+    stamps = stamps[distinct]
+    text = list(chain.from_iterable(
+        np.datetime_as_string(stamps[lo:lo + SPL_WRITE_ROWS]).tolist()
+        for lo in range(0, len(stamps), SPL_WRITE_ROWS)
+    ))
+    dest.write(",".join(SPL_HEADER) + "\n")
+    for lo in range(0, len(columns), SPL_WRITE_ROWS):
+        rows = slice(lo, lo + SPL_WRITE_ROWS)
+        stamp_at = np.searchsorted(stamps, columns.times[rows].astype("datetime64[s]"))
+        levels, level_at = np.unique(columns.levels[rows].view(np.int64), return_inverse=True)
+        levels = list(map(repr, levels.view(np.float64).tolist()))
+        dest.write("\n".join(map(",".join, zip(
+            map(columns.names.__getitem__, columns.codes[rows].tolist()),
+            map(text.__getitem__, stamp_at.tolist()),
+            map(levels.__getitem__, level_at.tolist()),
+        ))) + "\n")
 
 
 def write_flights(flights: Iterable[FlightEvent], dest) -> None:

@@ -18,6 +18,19 @@ with zero findings) and every structural pattern is known ground truth:
 Hours whose flight count is zero emit only ambient (sub-threshold) samples:
 no traffic, no measured aircraft noise, an absent hourly level, and no
 training target.
+
+The SPL stream is built in columns (``spl.SplColumns``), with no Python loop
+over samples. Each random stream is drawn in one batched call, in the order
+a per-sample loop would draw it: terminal, then hour, then a group's ambient
+block before its jitter block. A batched ``standard_normal(k)`` of these
+generators yields the same numbers as k scalar calls, and ``random(a + b)``
+the same as ``random(a)`` then ``random(b)``, so each sample gets the draws
+a per-sample loop would give it. The arithmetic on the draws is elementwise;
+each (terminal, hour) group's energy offset is ``math.log10(np.mean(...))``
+of its own 1-D jitter row, and levels are rounded by Python's
+``round(x, 2)``. The stream, and every file ``write_scenario`` writes, are
+therefore bit-identical to a per-sample loop's, which ``tests/test_synth.py``
+keeps as the reference.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -39,12 +53,12 @@ from .ingest import (
     NmtMeta,
     Operation,
     PopulationRecord,
-    SplSample,
     TractMeta,
     WeatherHour,
     write_bundle,
 )
 from .rng import substream
+from .spl import SplColumns
 
 RUNWAY_EAST = "32R"
 RUNWAY_WEST = "32L"
@@ -355,57 +369,69 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
             population.append(PopulationRecord(t.tract_id, h, round(count, 4)))
 
     # --- intended hourly levels and SPL streams ---------------------------------
+    # One group of samples per (terminal, hour), terminal-major. rng_noise
+    # gives one normal per non-quiet group; rng_spl gives each group an
+    # ambient block and then, if it is not quiet, a jitter block.
     clean_level: dict[str, float] = {}
     intended_level: dict[str, float] = {}
-    spl: list[SplSample] = []
 
     n_samples = config.samples_per_hour
     n_low = int(round(config.sub_threshold_fraction * n_samples))
-    slots = [i * 1200 // n_samples for i in range(n_samples)]
+    slots = np.arange(n_samples) * 1200 // n_samples
     low_positions = sorted({j * n_samples // n_low for j in range(n_low)}) if n_low else []
-    low_index = np.array(low_positions, dtype=int)
     retained_index = np.array([i for i in range(n_samples) if i not in set(low_positions)], dtype=int)
+    quiet = np.array([config.flights_per_hour[h.hour] == 0 for h in hours] * n_nmts)
 
+    keys: list[str] = []
+    clean: list[float] = []
     for nmt in nmts:
         side = nmt_side[nmt.nmt_id]
         base = nmt_base[nmt.nmt_id]
         for h in hours:
-            key = f"{nmt.nmt_id}|{h.isoformat(timespec='minutes')}"
-            quiet = config.flights_per_hour[h.hour] == 0
+            if config.flights_per_hour[h.hour] == 0:
+                continue
             w = weather_by_hour[h]
-            if not quiet:
-                rot = config.rotation_amplitude if landing_runway(h, config.block_hours) == side else -config.rotation_amplitude
-                level = base + rot
-                dev = w.temperature - config.temperature_ref
-                level += config.temperature_step_db * math.copysign(1.0, dev) + config.temperature_coeff * dev
-                if w.cloud_cover > config.cloud_threshold:
-                    level += config.cloud_step
-                for combo, count in combo_counts.get(h, {}).items():
-                    level += config.combo_coeffs.get(combo, 0.0) * count
-                clean_level[key] = round(level, 6)
-                noisy = level + config.noise_std * float(rng_noise.standard_normal())
-                noisy = min(max(noisy, config.level_floor), config.level_ceiling)
-                intended_level[key] = round(noisy, 6)
+            rot = config.rotation_amplitude if landing_runway(h, config.block_hours) == side else -config.rotation_amplitude
+            level = base + rot
+            dev = w.temperature - config.temperature_ref
+            level += config.temperature_step_db * math.copysign(1.0, dev) + config.temperature_coeff * dev
+            if w.cloud_cover > config.cloud_threshold:
+                level += config.cloud_step
+            for combo, count in combo_counts.get(h, {}).items():
+                level += config.combo_coeffs.get(combo, 0.0) * count
+            key = f"{nmt.nmt_id}|{h.isoformat(timespec='minutes')}"
+            keys.append(key)
+            clean.append(level)
+            clean_level[key] = round(level, 6)
+    for key, level, z in zip(keys, clean, rng_noise.standard_normal(len(keys)).tolist()):
+        noisy = level + config.noise_std * z
+        intended_level[key] = round(min(max(noisy, config.level_floor), config.level_ceiling), 6)
 
-            # ambient sub-threshold baseline, also used for the low fraction
-            ambient = 50.0 + 6.0 * rng_spl.random(n_samples)
-            if quiet:
-                levels = ambient
-            else:
-                # jitter only the retained samples and correct their energy
-                # mean exactly, so re-aggregation reproduces the intended level
-                jitter = config.jitter_db * (2.0 * rng_spl.random(retained_index.size) - 1.0)
-                energy_offset = 10.0 * math.log10(np.mean(10.0 ** (jitter / 10.0)))
-                levels = np.empty(n_samples)
-                levels[retained_index] = intended_level[key] + jitter - energy_offset
-                if low_index.size:
-                    levels[low_index] = ambient[low_index]
-            for i, slot in enumerate(slots):
-                spl.append(SplSample(
-                    nmt_id=nmt.nmt_id,
-                    timestamp=h + timedelta(seconds=3 * slot),
-                    level=round(float(levels[i]), 2),
-                ))
+    sizes = np.where(quiet, n_samples, n_samples + retained_index.size)
+    starts = np.cumsum(sizes) - sizes
+    draws = rng_spl.random(int(sizes.sum()))
+    # ambient sub-threshold baseline, also used for the low fraction
+    levels = 50.0 + 6.0 * draws[starts[:, None] + np.arange(n_samples)]
+    # jitter only the retained samples and correct each group's energy mean
+    # exactly, so re-aggregation reproduces the intended level
+    loud = np.flatnonzero(~quiet)
+    jitter = config.jitter_db * (2.0 * draws[starts[loud, None] + n_samples + np.arange(retained_index.size)] - 1.0)
+    del draws
+    energy_offset = np.array([10.0 * math.log10(np.mean(10.0 ** (row / 10.0))) for row in jitter])
+    intended = np.array([intended_level[key] for key in keys])
+    levels[np.ix_(loud, retained_index)] = intended[:, None] + jitter - energy_offset[:, None]
+
+    # levels are rounded by Python's round, not np.round, which scales by 100
+    # first and so can round differently
+    names = sorted(nmt_side)
+    hour_us = np.array(hours, dtype="datetime64[us]").view(np.int64)
+    spl = SplColumns(
+        names,
+        np.repeat(np.array([names.index(n.nmt_id) for n in nmts], dtype=np.int32), len(hours) * n_samples),
+        np.tile((hour_us[:, None] + slots * 3_000_000).ravel(), n_nmts).view("datetime64[us]"),
+        np.fromiter(chain.from_iterable(map(round, row.tolist(), repeat(2)) for row in levels),
+                    np.float64, levels.size),
+    )
 
     bundle = Bundle(
         spl=spl, flights=flights, weather=weather,

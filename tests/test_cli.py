@@ -345,6 +345,43 @@ def test_half_given_window_infers_only_the_other_bound(small_bundle, tmp_path, f
     assert len(header) - 1 == 24 * (2 if flag == "--window-start" else 1)
 
 
+
+@pytest.mark.parametrize("command", ["exposure", "validate"])
+@pytest.mark.parametrize("flags,start,end", [
+    (["--window-start", "2023-01-02T00:00", "--window-end", "2023-01-01T00:00"],
+     "2023-01-02T00:00", "2023-01-01T00:00"),
+    (["--window-start", "2023-01-02T00:00", "--window-end", "2023-01-02T00:00"],
+     "2023-01-02T00:00", "2023-01-02T00:00"),
+    # the bundle's weather ends 2023-01-03T23:00, so the inferred end is 2023-01-04T00:00
+    (["--window-start", "2023-01-05T00:00"], "2023-01-05T00:00", "2023-01-04T00:00"),
+])
+def test_empty_window_exits_2(small_bundle, tmp_path, capsys, command, flags, start, end):
+    capsys.readouterr()
+    assert main([command, "--in", str(small_bundle), "--out", str(tmp_path / "out"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: empty study window: start {start} is not before end {end}\n"
+
+
+def test_rotation_follows_the_window(small_bundle, tmp_path):
+    from datetime import datetime
+
+    from airnoise import acoustics, exposure
+
+    def rotation(window_end):
+        out = tmp_path / window_end
+        assert main(["exposure", "--in", str(small_bundle), "--out", str(out),
+                     "--window-start", "2023-01-01T00:00", "--window-end", window_end]) == 0
+        return out, (out / "rotation.csv").read_text()
+
+    out, short = rotation("2023-01-01T12:00")
+    _, full = rotation("2023-01-04T00:00")
+    assert short != full
+    series = [h for h in acoustics.read_hourly_laeq(out / "hourly_laeq.csv")
+              if h.hour_start < datetime(2023, 1, 1, 12)]
+    expected = tmp_path / "expected.csv"
+    exposure.write_rotation(exposure.rotation_contrast(series), expected)
+    assert short == expected.read_text()
+
+
 def test_validate_imports_only_the_layers_it_uses(small_bundle, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(airnoise.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(

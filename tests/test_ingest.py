@@ -407,3 +407,45 @@ def _spl_csv(samples) -> str:
     buf = io.StringIO()
     write_spl(samples, buf)
     return buf.getvalue()
+
+
+# --- write_spl: the columnar writer against the row writer ------------------------
+
+def _write_spl_rows(samples) -> str:
+    """The reference writer: one formatted row per sample."""
+    buf = io.StringIO()
+    buf.write(SPL_HEADER)
+    for s in samples:
+        buf.write(f"{s.nmt_id},{s.timestamp.isoformat(timespec='seconds')},{float(s.level)!r}\n")
+    return buf.getvalue()
+
+
+_stamps = st.one_of(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    # a small pool, so timestamps repeat across rows and terminals
+    st.sampled_from([datetime(2023, 1, 5, 9, 0, 3), datetime(2023, 1, 5, 9, 0, 3, 999_999),
+                     datetime(1969, 12, 31, 23, 59, 59, 500_000), datetime(5, 3, 1, 0, 0, 7)]),
+)
+_levels = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0, max_value=140).map(lambda x: round(x, 2)),
+    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1 / 3, 72.4]),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["NMT1", "NMT10", "NMT2", "B"]), _stamps, _levels), max_size=40),
+       st.integers(min_value=1, max_value=7))
+def test_write_spl_equals_row_writer(rows, chunk_rows):
+    samples = [ingest.SplSample(nmt, ts, level) for nmt, ts, level in rows]
+    expected = _write_spl_rows(samples)
+    assert _spl_csv(samples) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "SPL_WRITE_ROWS", chunk_rows)
+        assert _spl_csv(spl.SplColumns.from_samples(samples)) == expected
+
+
+def test_write_spl_path_and_empty(tmp_path):
+    sample = ingest.SplSample("N1", datetime(2023, 1, 5, 9, 0, 3, 250_000), 61.25)
+    write_spl(iter([sample]), tmp_path / "spl.csv")
+    assert (tmp_path / "spl.csv").read_text(encoding="utf-8") == _write_spl_rows([sample])
+    assert _spl_csv([]) == SPL_HEADER

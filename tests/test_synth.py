@@ -1,4 +1,6 @@
-from datetime import datetime
+import hashlib
+import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from airnoise.acoustics import hourly_series
 from airnoise.errors import InvalidConfig
 from airnoise.exposure import rotation_contrast
-from airnoise.ingest import validate_bundle, write_bundle
+from airnoise.ingest import SplSample, validate_bundle, write_bundle
+from airnoise.rng import substream
 from airnoise.synth import (
     RUNWAY_EAST,
     RUNWAY_WEST,
@@ -15,6 +18,7 @@ from airnoise.synth import (
     commuter_wave,
     generate,
     landing_runway,
+    write_scenario,
 )
 from airnoise.validation import DiurnalClass, classify_diurnal
 
@@ -183,3 +187,115 @@ def test_bundle_write_parse_round_trip(small_scenario, tmp_path):
     assert back.population == bundle.population
     assert back.tracts == bundle.tracts
     assert back.nmts == bundle.nmts
+
+
+# --- byte identity ------------------------------------------------------------
+
+# sha256 of every file write_scenario writes, recorded from the per-sample
+# generator and row writer; key (seed, days, samples_per_hour)
+GOLDEN = {
+    (3, 2, 60): {
+        "flights.csv": "b369712a157b3ed06727851638032a8d658dfc2a451eead9786e78b7daa6270a",
+        "ground_truth.json": "63758607fe6d75da812b90ec2fe4a7a89a1739adce9618f48d2c3b27eb54dccd",
+        "nmts.csv": "9c0a922c2b4635f706e3d56823d61a2a28cc2906bbcb6dcabdc22e2a4d19f1e6",
+        "population.csv": "863916870cd7ebc6abc9e0a87b8521568951f81bd3444792cd4d9acfef6555cd",
+        "spl.csv": "03a1d43f51157309beb82e9460ea9fa562b3164f247b7c2a6268f8b4c22ce28b",
+        "tracts.csv": "fd4f0797a6fdd8e9b10d6e303200cd33a032f27dd4fabb93b95b21409060c77b",
+        "weather.csv": "4158430889383f8b56b5fa55f2065ab6931b2ea75e30df3ba5cec3dc30d3d0d5",
+    },
+    (5, 1, 60): {
+        "flights.csv": "92dc2f7226771e4c61fc8931c1e9b63f94ad3b13dfb5feab6ed2d1262fd08210",
+        "ground_truth.json": "56db3283ad01ced793f3395781877673b83a01ea4c6ab167d43f082fc57b4007",
+        "nmts.csv": "9c0a922c2b4635f706e3d56823d61a2a28cc2906bbcb6dcabdc22e2a4d19f1e6",
+        "population.csv": "abcd1fd17a9199a0028a870e90e67f59cd30f06dc52cda03a9778967a6049d72",
+        "spl.csv": "0d4daad8e82af234943c1bc2a665fd3f0c090c11260f1f917a49692a609c4077",
+        "tracts.csv": "fd4f0797a6fdd8e9b10d6e303200cd33a032f27dd4fabb93b95b21409060c77b",
+        "weather.csv": "3c824fd065be8db3a533e4bd0b93f47c6075df0301730085b336060bcd6f4987",
+    },
+    (11, 2, 300): {
+        "flights.csv": "d9b8be04fdd169592cdebb70e9204914f03f816064731e074f34d8435c7f0965",
+        "ground_truth.json": "8273e200a975fa64b3e8ce56011ebd43de0fb9cc1ed88ef75174a56ae8b12870",
+        "nmts.csv": "9c0a922c2b4635f706e3d56823d61a2a28cc2906bbcb6dcabdc22e2a4d19f1e6",
+        "population.csv": "863916870cd7ebc6abc9e0a87b8521568951f81bd3444792cd4d9acfef6555cd",
+        "spl.csv": "c3a4fca5bf98d90a88ffd58a73b5127c7e0caf8bfd43d02bdf6fc702ceddebc6",
+        "tracts.csv": "fd4f0797a6fdd8e9b10d6e303200cd33a032f27dd4fabb93b95b21409060c77b",
+        "weather.csv": "780bc92e54a27176bbfbf2c12835796e0569a35f2bac23eb1c03b6fbffe27a5a",
+    },
+    (23, 1, 1200): {
+        "flights.csv": "570f304b5742a794d0cee0df5c40106b07ecd45e9c3783df534cf4c475471db7",
+        "ground_truth.json": "85b603491b3bb13ce37bebfae84b78c118579f437d7f21dff8157aa820be9b16",
+        "nmts.csv": "9c0a922c2b4635f706e3d56823d61a2a28cc2906bbcb6dcabdc22e2a4d19f1e6",
+        "population.csv": "abcd1fd17a9199a0028a870e90e67f59cd30f06dc52cda03a9778967a6049d72",
+        "spl.csv": "3a340ad75da1c28a0b4aec0ea914541d9a3ffb62194d5dfdf2bbde0ca2c6c656",
+        "tracts.csv": "fd4f0797a6fdd8e9b10d6e303200cd33a032f27dd4fabb93b95b21409060c77b",
+        "weather.csv": "7a431bcc4e2aeee8d6bb7560f94757398cf0d7ee2c4a5f2b9c466a4b5438c228",
+    },
+    (42, 1, 300): {
+        "flights.csv": "396ec457cd4cb1c71aec12e04ee4a2bfa51e1f27bb3ecdb39f0e13f7804b3ddc",
+        "ground_truth.json": "1c096ae1b27d1b97697e100b115a412c568a6e0980b0bd0aefc804460ec4c1f1",
+        "nmts.csv": "9c0a922c2b4635f706e3d56823d61a2a28cc2906bbcb6dcabdc22e2a4d19f1e6",
+        "population.csv": "abcd1fd17a9199a0028a870e90e67f59cd30f06dc52cda03a9778967a6049d72",
+        "spl.csv": "d217a27278bb4e0ce3da9070a96513a40a1ab5a657afcb26dfe39f887db664f6",
+        "tracts.csv": "fd4f0797a6fdd8e9b10d6e303200cd33a032f27dd4fabb93b95b21409060c77b",
+        "weather.csv": "d09885f63eaae5a3a45b228da6a194828421a516345466e4164e823fee2d5e5e",
+    },
+    (101, 2, 1200): {
+        "flights.csv": "4a7f4dc3973cf68d4b857178ede63f5a83c5e3ee2790167cc56624e2c7b0d91e",
+        "ground_truth.json": "26fcbef343d54caa9a3c2e1c78974c9cda33eb29a1f41a531efcac426b3558e1",
+        "nmts.csv": "9c0a922c2b4635f706e3d56823d61a2a28cc2906bbcb6dcabdc22e2a4d19f1e6",
+        "population.csv": "863916870cd7ebc6abc9e0a87b8521568951f81bd3444792cd4d9acfef6555cd",
+        "spl.csv": "33f3ed52fe4aee142cf7a1995b0f75dcaf1716aa1524346e33095a5667e31ecb",
+        "tracts.csv": "fd4f0797a6fdd8e9b10d6e303200cd33a032f27dd4fabb93b95b21409060c77b",
+        "weather.csv": "e7a7b3cfaa7ae65e973d419206def7580bfd2f4b10685b64a87a0836779fcb3b",
+    },
+}
+
+
+@pytest.mark.parametrize("seed,days,samples_per_hour", sorted(GOLDEN))
+def test_write_scenario_bytes_pinned(tmp_path, seed, days, samples_per_hour):
+    write_scenario(ScenarioConfig(seed=seed, days=days, samples_per_hour=samples_per_hour), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GOLDEN[(seed, days, samples_per_hour)]
+
+
+def _reference_spl(config: ScenarioConfig, truth: GroundTruth) -> list[SplSample]:
+    """The SPL stream as the per-sample generator built it, one sample at a
+    time, from the intended levels of ``truth``."""
+    rng_spl = substream(config.seed, "synth.jitter")
+    n_samples = config.samples_per_hour
+    n_low = int(round(config.sub_threshold_fraction * n_samples))
+    slots = [i * 1200 // n_samples for i in range(n_samples)]
+    low_positions = sorted({j * n_samples // n_low for j in range(n_low)}) if n_low else []
+    low_index = np.array(low_positions, dtype=int)
+    retained_index = np.array([i for i in range(n_samples) if i not in set(low_positions)], dtype=int)
+    hours = [truth.window_start + timedelta(hours=k) for k in range(config.days * 24)]
+    spl = []
+    for nmt_id in truth.nmt_side:
+        for h in hours:
+            key = f"{nmt_id}|{h.isoformat(timespec='minutes')}"
+            quiet = config.flights_per_hour[h.hour] == 0
+            ambient = 50.0 + 6.0 * rng_spl.random(n_samples)
+            if quiet:
+                levels = ambient
+            else:
+                jitter = config.jitter_db * (2.0 * rng_spl.random(retained_index.size) - 1.0)
+                energy_offset = 10.0 * math.log10(np.mean(10.0 ** (jitter / 10.0)))
+                levels = np.empty(n_samples)
+                levels[retained_index] = truth.intended_level[key] + jitter - energy_offset
+                if low_index.size:
+                    levels[low_index] = ambient[low_index]
+            for i, slot in enumerate(slots):
+                spl.append(SplSample(nmt_id, h + timedelta(seconds=3 * slot), round(float(levels[i]), 2)))
+    return spl
+
+
+@pytest.mark.parametrize("config", [
+    SMALL,
+    ScenarioConfig(seed=8, days=1, samples_per_hour=7, sub_threshold_fraction=0.0),
+    ScenarioConfig(seed=9, days=1, samples_per_hour=120, near_32l_tracts=6, near_32r_tracts=5),
+    ScenarioConfig(seed=10, days=2, samples_per_hour=3, flights_per_hour=(0,) * 24),
+])
+def test_generated_spl_equals_per_sample_reference(config):
+    bundle, truth = generate(config)
+    assert bundle.spl.names == tuple(sorted(truth.nmt_side))
+    assert list(bundle.spl) == _reference_spl(config, truth)
