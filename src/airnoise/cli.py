@@ -2,9 +2,11 @@
 
 Every subcommand reads declared inputs, writes declared outputs under --out,
 and prints a one-line summary. Re-running with unchanged inputs and seed
-produces byte-identical outputs; `report` reuses fresh intermediates (guarded
-by a content-hash manifest) and recomputes stale ones, with identical results
-either way.
+produces byte-identical outputs. The stages laeq, fused, features, models and
+shap are cached: a stage whose inputs and outputs still match its entry in the
+content-hash manifest (`manifest.json` under --out) reads its outputs back,
+and any other stage recomputes them, with identical results either way.
+Exposure and validation always recompute.
 
 Configuration comes from a plain key=value file (--config) overridden by
 flags. All randomness derives from the single --seed through named
@@ -24,6 +26,7 @@ so that `validate` loads no more than it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -194,9 +197,10 @@ class Workspace:
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         try:
-            self.manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
-            self.manifest = {}
+            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, or not JSON
+            manifest = {}
+        self.manifest = manifest if isinstance(manifest, dict) else {}  # anything else counts as empty
 
     def digest(self, *parts) -> str:
         h = hashlib.sha256()
@@ -214,8 +218,9 @@ class Workspace:
         entry = self.manifest.get(stage)
         if not isinstance(entry, dict) or entry.get("digest") != digest:
             return False
-        recorded = entry.get("outputs", {})
-        return all(p.exists() and recorded.get(p.name) == _file_sha256(p) for p in outputs)
+        recorded = entry.get("outputs")
+        return isinstance(recorded, dict) and all(
+            p.exists() and recorded.get(p.name) == _file_sha256(p) for p in outputs)
 
     def record(self, stage: str, digest: str, outputs: list[Path]) -> None:
         self.manifest[stage] = {"digest": digest, "outputs": {p.name: _file_sha256(p) for p in outputs}}
@@ -228,9 +233,26 @@ class Workspace:
             self._save()
 
     def _save(self) -> None:
-        self.manifest_path.write_text(
-            json.dumps(self.manifest, sort_keys=True, indent=1), encoding="utf-8"
-        )
+        text = json.dumps(self.manifest, sort_keys=True, indent=1)
+        _write_atomic(self.manifest_path, lambda p: p.write_text(text, encoding="utf-8"))
+
+    def stage(self, name: str, parts, outputs: list[Path], load, compute):
+        """The result of a cached stage. If the stage last ran on the digest of
+        ``parts`` and its outputs are unchanged since, that is ``load()``.
+        Otherwise ``compute()`` returns the result and a writer per output
+        path; each output is written atomically, then the run is recorded."""
+        digest = self.digest(*parts)
+        if self.fresh(name, digest, outputs):
+            try:
+                return load()
+            except (AirnoiseError, ValueError):
+                pass  # a torn artifact is a miss
+        self.forget(name)
+        result, writers = compute()
+        for path in outputs:
+            _write_atomic(path, writers[path])
+        self.record(name, digest, outputs)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -263,59 +285,46 @@ def _with_window(cfg: RunConfig) -> RunConfig:
 
 def _stage_laeq(ws: Workspace, cfg: RunConfig) -> list[acoustics.HourlyLaeq]:
     out = ws.out / "hourly_laeq.csv"
-    digest = ws.digest(cfg.in_dir / "spl.csv", cfg.retention_dba)
-    if ws.fresh("laeq", digest, [out]):
-        try:
-            return acoustics.read_hourly_laeq(out)
-        except (AirnoiseError, ValueError):
-            pass  # a torn artifact is a miss
-    ws.forget("laeq")
-    samples = ingest.parse_spl(cfg.in_dir / "spl.csv")
-    series = acoustics.hourly_series(samples, cfg.retention_dba)
-    _write_atomic(out, lambda p: acoustics.write_hourly_laeq(series, p))
-    ws.record("laeq", digest, [out])
-    return series
+
+    def compute():
+        series = acoustics.hourly_series(ingest.parse_spl(cfg.in_dir / "spl.csv"), cfg.retention_dba)
+        return series, {out: lambda p: acoustics.write_hourly_laeq(series, p)}
+
+    return ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), [out],
+                    lambda: acoustics.read_hourly_laeq(out), compute)
 
 
 def _stage_fused(ws: Workspace, cfg: RunConfig, series) -> list[fusion.TractHourRecord]:
     out = ws.out / "fused.csv"
-    digest = ws.digest(
-        ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv",
-        cfg.in_dir / "tracts.csv", cfg.in_dir / "nmts.csv",
-        cfg.mapping, cfg.window_start, cfg.window_end,
-    )
-    if ws.fresh("fused", digest, [out]):
-        return fusion.read_fused(out)
-    ws.forget("fused")
-    tracts = ingest.parse_tracts(cfg.in_dir / "tracts.csv")
-    nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
-    population = ingest.parse_population(cfg.in_dir / "population.csv")
-    hours = ingest.window_hours((cfg.window_start, cfg.window_end))
-    mapping = fusion.map_tracts(nmts, tracts, cfg.mapping)
-    records = fusion.fuse(population, series, mapping, tracts, hours)
-    _write_atomic(out, lambda p: fusion.write_fused(records, p))
-    ws.record("fused", digest, [out])
-    return records
+
+    def compute():
+        tracts = ingest.parse_tracts(cfg.in_dir / "tracts.csv")
+        nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
+        population = ingest.parse_population(cfg.in_dir / "population.csv")
+        hours = ingest.window_hours((cfg.window_start, cfg.window_end))
+        mapping = fusion.map_tracts(nmts, tracts, cfg.mapping)
+        records = fusion.fuse(population, series, mapping, tracts, hours)
+        return records, {out: lambda p: fusion.write_fused(records, p)}
+
+    parts = (ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv", cfg.in_dir / "tracts.csv",
+             cfg.in_dir / "nmts.csv", cfg.mapping, cfg.window_start, cfg.window_end)
+    return ws.stage("fused", parts, [out], lambda: fusion.read_fused(out), compute)
 
 
 def _stage_features(ws: Workspace, cfg: RunConfig, series) -> fusion.FeatureTable:
     out = ws.out / "features.csv"
-    digest = ws.digest(
-        ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv",
-        cfg.in_dir / "weather.csv", cfg.in_dir / "nmts.csv",
-        cfg.window_start, cfg.window_end,
-    )
-    if ws.fresh("features", digest, [out]):
-        return fusion.read_features(out)
-    ws.forget("features")
-    flights = ingest.parse_flights(cfg.in_dir / "flights.csv")
-    weather = ingest.parse_weather(cfg.in_dir / "weather.csv")
-    nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
-    hours = ingest.window_hours((cfg.window_start, cfg.window_end))
-    table = fusion.build_features(flights, weather, nmts, series, hours)
-    _write_atomic(out, lambda p: fusion.write_features(table, p))
-    ws.record("features", digest, [out])
-    return table
+
+    def compute():
+        flights = ingest.parse_flights(cfg.in_dir / "flights.csv")
+        weather = ingest.parse_weather(cfg.in_dir / "weather.csv")
+        nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
+        hours = ingest.window_hours((cfg.window_start, cfg.window_end))
+        table = fusion.build_features(flights, weather, nmts, series, hours)
+        return table, {out: lambda p: fusion.write_features(table, p)}
+
+    parts = (ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv", cfg.in_dir / "weather.csv",
+             cfg.in_dir / "nmts.csv", cfg.window_start, cfg.window_end)
+    return ws.stage("features", parts, [out], lambda: fusion.read_features(out), compute)
 
 
 MODEL_TARGETS = {
@@ -431,55 +440,68 @@ class _Worker:
             self.pipe.close()
 
 
-def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple[gbm.Ensemble, list[dict]]]:
+def _saved_model(text: str):
+    """A saved model's history, its number of trees, and a call that decodes
+    the trees the first time it is made."""
+    from . import gbm
+
+    doc = json.loads(text)
+    return doc.get("history", []), len(doc["trees"]), functools.cache(lambda: gbm.from_json(text)[0])
+
+
+def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple]:
+    """Per model: its history, the number of trees it kept, and a call that
+    returns the ensemble, which decodes a cached model's trees only then."""
     from . import gbm
 
     outputs = {name: ws.out / f"model_{name}.json" for name in MODEL_TARGETS}
-    digest = ws.digest(ws.out / "features.csv", vars(cfg.train_config()), cfg.seed)
-    if ws.fresh("models", digest, list(outputs.values())):
-        loaded = {}
-        for name, path in outputs.items():
-            ens, _, history = gbm.from_json(path.read_text(encoding="utf-8"))
-            loaded[name] = (ens, history)
-        return loaded
 
-    ws.forget("models")
-    train_part, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
-    config = cfg.train_config()
+    def compute():
+        train_part, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
+        config = cfg.train_config()
 
-    def fit(name):
-        X_train, y_train, _ = _model_rows(train_part, name)
-        X_test, y_test, _ = _model_rows(test_part, name)
-        ens, history = gbm.train(X_train, y_train, X_test, y_test, config, table.feature_names)
-        return ens, history, gbm.to_json(ens, config, history)
+        def fit(name):
+            X_train, y_train, _ = _model_rows(train_part, name)
+            X_test, y_test, _ = _model_rows(test_part, name)
+            ens, history = gbm.train(X_train, y_train, X_test, y_test, config, table.feature_names)
+            return ens, history, gbm.to_json(ens, config, history)
 
-    # the fits share no state: the last one runs beside the others
-    *names, last = MODEL_TARGETS
-    worker = _Worker(f"{last} model", lambda: fit(last)[2])
-    try:
-        fitted = {name: fit(name) for name in names}
-        text = worker.result()
-    except BaseException:
-        worker.kill()
-        raise
-    ens, _, history = gbm.from_json(text)
-    fitted[last] = (ens, history, text)
-    for name, (_, _, text) in fitted.items():
-        _write_atomic(outputs[name], lambda p: p.write_text(text, encoding="utf-8"))
-    ws.record("models", digest, list(outputs.values()))
-    return {name: (ens, history) for name, (ens, history, _) in fitted.items()}
+        # the fits share no state: the last one runs beside the others
+        *names, last = MODEL_TARGETS
+        worker = _Worker(f"{last} model", lambda: fit(last)[2])
+        try:
+            fitted = {name: fit(name) for name in names}
+            text = worker.result()
+        except BaseException:
+            worker.kill()
+            raise
+        ens, _, history = gbm.from_json(text)
+        fitted[last] = (ens, history, text)
+        models = {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history, _) in fitted.items()}
+        return models, {outputs[name]: lambda p, text=text: p.write_text(text, encoding="utf-8")
+                        for name, (_, _, text) in fitted.items()}
+
+    def load():
+        return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
+
+    parts = (ws.out / "features.csv", vars(cfg.train_config()), cfg.seed)
+    return ws.stage("models", parts, list(outputs.values()), load, compute)
 
 
-def _write_records(path_base: Path, fmt: str, header: list[str], rows: list[list], csv_writer) -> Path:
-    """Write a tabular artifact as canonical CSV or as a JSON record array."""
-    if fmt == "json":
-        path = path_base.with_suffix(".json")
-        records = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(records, sort_keys=True, indent=1), encoding="utf-8")
-        return path
-    path = path_base.with_suffix(".csv")
-    csv_writer(path)
-    return path
+def _table_writer(fmt: str, header: list[str], rows: list[list], csv_writer):
+    """The writer of a table to a path: ``csv_writer``, or one of a JSON record array."""
+    if fmt == "csv":
+        return csv_writer
+    records = [dict(zip(header, row)) for row in rows]
+    return lambda path: path.write_text(json.dumps(records, sort_keys=True, indent=1), encoding="utf-8")
+
+
+def _read_summary(path: Path) -> list[tuple[str, float]]:
+    """A feature ranking as `_stage_shap` writes it, in either format."""
+    if path.suffix == ".json":
+        return [(r["feature"], r["mean_abs_phi"]) for r in json.loads(path.read_text(encoding="utf-8"))]
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [(feature, float(value)) for feature, value in (line.rsplit(",", 1) for line in lines)]
 
 
 def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
@@ -496,19 +518,19 @@ def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
     fmt = cfg.out_format
     for theta, matrix in matrices.items():
         tag = exposure.theta_tag(theta)
-        _write_records(
-            ws.out / f"exposure_{tag}", fmt,
+        _table_writer(
+            fmt,
             ["tract_id"] + [h.isoformat(timespec="minutes") for h in matrix.hours],
             [[tract] + [float(v) for v in matrix.cells[i]] for i, tract in enumerate(matrix.tract_ids)],
             lambda p, m=matrix: exposure.write_exposure_matrix(m, p),
-        )
+        )(ws.out / f"exposure_{tag}.{fmt}")
         s = ginis[theta]
-        _write_records(
-            ws.out / f"gini_{tag}", fmt,
+        _table_writer(
+            fmt,
             ["hour_start", "gini", "exposed_total", "mean_exposure"],
             [[e.hour.isoformat(timespec="minutes"), e.gini, e.exposed_total, e.mean_exposure] for e in s.entries],
             lambda p, s=s: exposure.write_gini_series(s, p),
-        )
+        )(ws.out / f"gini_{tag}.{fmt}")
 
     comparison_rows = []
     for theta in sorted(comparisons):
@@ -522,49 +544,50 @@ def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
             for theta, hour, d, r, delta in comparison_rows:
                 fh.write(f"{theta!r},{hour},{d!r},{r!r},{delta!r}\n")
 
-    _write_records(ws.out / "compare", fmt,
-                   ["theta", "hour_start", "defacto_total", "residential_total", "delta"],
-                   comparison_rows, write_compare_csv)
-    _write_records(ws.out / "rotation", fmt,
-                   ["nmt_a", "nmt_b", "block_mean_correlation"],
-                   [[a, b, r] for (a, b), r in sorted(correlations.items())],
-                   lambda p: exposure.write_rotation(correlations, p))
+    _table_writer(fmt, ["theta", "hour_start", "defacto_total", "residential_total", "delta"],
+                  comparison_rows, write_compare_csv)(ws.out / f"compare.{fmt}")
+    _table_writer(fmt, ["nmt_a", "nmt_b", "block_mean_correlation"],
+                  [[a, b, r] for (a, b), r in sorted(correlations.items())],
+                  lambda p: exposure.write_rotation(correlations, p))(ws.out / f"rotation.{fmt}")
     return matrices, ginis, comparisons, correlations
 
 
-def _stage_shap(ws: Workspace, cfg: RunConfig, table, models):
-    """Attribution exports per model over its held-out rows."""
+def _stage_shap(ws: Workspace, cfg: RunConfig, table, models) -> dict[str, list[tuple[str, float]]]:
+    """Attribution exports per model over its held-out rows; the rankings."""
     from . import gbm, shapley
 
-    _, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
-    summaries = {}
-    for name, (ens, _) in models.items():
-        X, _, keys = _model_rows(test_part, name)
-        atts = shapley.shapley_batch(ens, X, [f"{k[0]}|{k[1].isoformat(timespec='minutes')}" for k in keys])
-        ranking = shapley.summary(atts)
-        summaries[name] = ranking
-        fmt = cfg.out_format
-        _write_records(
-            ws.out / f"shap_values_{name}", fmt,
-            ["key", "phi0"] + [f"phi_{n}" for n in ens.feature_names],
-            [[a.key, a.phi0] + [float(v) for v in a.phis] for a in atts],
-            lambda p, atts=atts: shapley.write_shap_values(atts, p),
-        )
-        _write_records(
-            ws.out / f"shap_summary_{name}", fmt,
-            ["feature", "mean_abs_phi"],
-            [[f, v] for f, v in ranking],
-            lambda p, r=ranking: shapley.write_shap_summary(r, p),
-        )
-        for feature in MET_FEATURES:
-            pairs = shapley.dependence(atts, feature)
-            _write_records(
-                ws.out / f"shap_dependence_{name}_{feature}", fmt,
-                [feature, "phi"],
-                [[v, p] for v, p in pairs],
-                lambda p, pair=pairs, f=feature: shapley.write_shap_dependence(pair, f, p),
+    fmt = cfg.out_format
+    stems = {name: [f"shap_values_{name}", f"shap_summary_{name}",
+                    *(f"shap_dependence_{name}_{feature}" for feature in MET_FEATURES)] for name in models}
+    outputs = {name: [ws.out / f"{stem}.{fmt}" for stem in group] for name, group in stems.items()}
+
+    def compute():
+        _, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
+        summaries, writers = {}, {}
+        for name, (_, _, ensemble) in models.items():
+            ens = ensemble()
+            X, _, keys = _model_rows(test_part, name)
+            atts = shapley.shapley_batch(ens, X, [f"{k[0]}|{k[1].isoformat(timespec='minutes')}" for k in keys])
+            summaries[name] = ranking = shapley.summary(atts)
+            values, summary, *dependence = outputs[name]
+            writers[values] = _table_writer(
+                fmt, ["key", "phi0"] + [f"phi_{n}" for n in ens.feature_names],
+                [[a.key, a.phi0] + [float(v) for v in a.phis] for a in atts],
+                lambda p, atts=atts: shapley.write_shap_values(atts, p),
             )
-    return summaries
+            writers[summary] = _table_writer(fmt, ["feature", "mean_abs_phi"], [[f, v] for f, v in ranking],
+                                             lambda p, r=ranking: shapley.write_shap_summary(r, p))
+            for feature, path in zip(MET_FEATURES, dependence):
+                pairs = shapley.dependence(atts, feature)
+                writers[path] = _table_writer(
+                    fmt, [feature, "phi"], [[v, p] for v, p in pairs],
+                    lambda p, pair=pairs, f=feature: shapley.write_shap_dependence(pair, f, p),
+                )
+        return summaries, writers
+
+    parts = (ws.out / "features.csv", *(ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)
+    return ws.stage("shap", parts, [p for group in outputs.values() for p in group],
+                    lambda: {name: _read_summary(group[1]) for name, group in outputs.items()}, compute)
 
 
 def _stage_validation(cfg: RunConfig, population, tracts):
@@ -690,9 +713,9 @@ def cmd_train(args) -> int:
     table = _stage_features(ws, cfg, series)
     models = _stage_models(ws, cfg, table)
     parts = []
-    for name, (ens, history) in models.items():
-        at = history[len(ens.trees) - 1] if ens.trees else {"valid_mae": float("nan")}
-        parts.append(f"{name}: {len(ens.trees)} trees, test mae {at['valid_mae']:.3f}")
+    for name, (history, kept, _) in models.items():
+        at = history[kept - 1] if kept else {"valid_mae": float("nan")}
+        parts.append(f"{name}: {kept} trees, test mae {at['valid_mae']:.3f}")
     print("train: " + "; ".join(parts))
     return 0
 
@@ -769,13 +792,13 @@ def cmd_report(args) -> int:
         "model": {
             name: {
                 "rounds_run": len(history),
-                "trees_kept": len(ens.trees),
-                "train_mae": history[len(ens.trees) - 1]["train_mae"] if ens.trees else None,
-                "train_rmse": history[len(ens.trees) - 1]["train_rmse"] if ens.trees else None,
-                "test_mae": history[len(ens.trees) - 1]["valid_mae"] if ens.trees else None,
-                "test_rmse": history[len(ens.trees) - 1]["valid_rmse"] if ens.trees else None,
+                "trees_kept": kept,
+                "train_mae": history[kept - 1]["train_mae"] if kept else None,
+                "train_rmse": history[kept - 1]["train_rmse"] if kept else None,
+                "test_mae": history[kept - 1]["valid_mae"] if kept else None,
+                "test_rmse": history[kept - 1]["valid_rmse"] if kept else None,
             }
-            for name, (ens, history) in models.items()
+            for name, (history, kept, _) in models.items()
         },
         "shap": {
             name: {"summary": [[f, v] for f, v in ranking]}

@@ -183,18 +183,14 @@ def rank_combos(flights: Sequence[FlightEvent], top: int = N_COMBO_FEATURES) -> 
 def active_runways(
     flights: Sequence[FlightEvent],
     hours: Sequence[datetime],
-    schedule: Mapping[tuple[datetime, Operation], str] | None = None,
 ) -> dict[tuple[datetime, Operation], str]:
     """Active runway per (hour, operation).
 
-    With no declared schedule the majority runway among that hour's
-    operations wins, ties to the runway whose first use that hour is
-    earliest. Hours without flights of an operation inherit the previous
-    hour's assignment (or the first following one at the window edge).
+    The majority runway among that hour's operations wins, ties to the
+    runway whose first use that hour is earliest. Hours without flights of
+    an operation inherit the previous hour's assignment (or the first
+    following one at the window edge).
     """
-    if schedule is not None:
-        return dict(schedule)
-
     by_hour: dict[tuple[datetime, Operation], list[FlightEvent]] = {}
     for f in flights:
         hour = f.timestamp.replace(minute=0, second=0, microsecond=0)
@@ -232,7 +228,6 @@ def build_features(
     nmts: Sequence[NmtMeta],
     hourly_laeq: Sequence[HourlyLaeq],
     hours: Sequence[datetime],
-    runway_schedule: Mapping[tuple[datetime, Operation], str] | None = None,
 ) -> FeatureTable:
     """Assemble the 22-column feature table over every (terminal, hour, operation).
 
@@ -273,7 +268,7 @@ def build_features(
                 counts = combo_counts[hour] = np.zeros(N_COMBO_FEATURES)
             counts[idx] += 1
 
-    active = active_runways(flights, hours, runway_schedule)
+    active = active_runways(flights, hours)
     levels = {(h.nmt_id, h.hour_start): h.laeq for h in hourly_laeq}
     zero_combos = np.zeros(N_COMBO_FEATURES)
 

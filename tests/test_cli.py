@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import airnoise
-from airnoise import cli, gbm
+from airnoise import cli, gbm, shapley
 from airnoise.cli import build_parser, load_config_file, main, resolve_config
 from airnoise.errors import InvalidConfig, NonFiniteTarget
 
@@ -290,6 +291,125 @@ def test_torn_model_cache_is_retrained(small_bundle, tmp_path):
     assert (out / "report.json").read_bytes() == report
     assert path.read_bytes() == model
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("manifest", [b"[1,2]", b'"laeq"', b"\xff\xfe{", "outputs-list"],
+                         ids=["array", "string", "not-utf8", "outputs-list"])
+def test_malformed_manifest_is_a_miss(small_bundle, tmp_path, manifest):
+    out = tmp_path / "out"
+    args = ["laeq", "--in", str(small_bundle), "--out", str(out)]
+    assert main(args) == 0
+    laeq = out / "hourly_laeq.csv"
+    whole, inode = laeq.read_bytes(), laeq.stat().st_ino
+    path = out / "manifest.json"
+    if manifest == "outputs-list":
+        doc = json.loads(path.read_text())
+        doc["laeq"]["outputs"] = list(doc["laeq"]["outputs"])
+        manifest = json.dumps(doc).encode()
+    path.write_bytes(manifest)
+    assert main(args) == 0
+    assert laeq.read_bytes() == whole
+    assert laeq.stat().st_ino != inode  # recomputed and written again
+    assert isinstance(json.loads(path.read_text())["laeq"]["outputs"], dict)
+    assert sorted(p.name for p in out.iterdir()) == ["hourly_laeq.csv", "manifest.json"]
+
+
+# --- the Shapley stage's cache ------------------------------------------------
+
+SHAP_FILES = 12  # per model: values, summary and 4 dependence tables
+
+
+@pytest.fixture
+def primed(small_report, tmp_path):
+    """A copy of the report directory, in which every cached stage is fresh."""
+    out = tmp_path / "out"
+    shutil.copytree(small_report, out)
+    return out
+
+
+@pytest.fixture
+def shap_calls(monkeypatch):
+    """The calls of ``shapley.shapley_batch``, one entry each."""
+    calls = []
+    real = shapley.shapley_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shapley, "shapley_batch", counted)
+    return calls
+
+
+def _forbid(monkeypatch, module, name):
+    """Make any later call of ``module.name`` fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran although its stage was fresh")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
+def _report(bundle, out, *flags):
+    return main(["report", "--in", str(bundle), "--out", str(out), "--seed", "11", *flags])
+
+
+def _files(out, pattern):
+    """name -> (inode, mtime) of the files matching ``pattern``; a rewrite changes both."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob(pattern)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_warm_report_reuses_shapley(small_bundle, small_report, primed, monkeypatch, fmt):
+    if fmt == "json":
+        assert _report(small_bundle, primed, "--format", fmt) == 0
+    before = _files(primed, f"shap_*.{fmt}")
+    assert len(before) == SHAP_FILES
+    _forbid(monkeypatch, shapley, "shapley_batch")
+    _forbid(monkeypatch, gbm, "from_json")  # a models hit decodes no tree while Shapley hits too
+    assert _report(small_bundle, primed, "--format", fmt) == 0
+    assert _files(primed, f"shap_*.{fmt}") == before
+    # the rankings read back from either format give the same report bytes
+    assert (primed / "report.json").read_bytes() == (small_report / "report.json").read_bytes()
+
+
+def test_torn_shap_summary_is_recomputed(small_bundle, small_report, primed, shap_calls):
+    path = primed / "shap_summary_takeoff.csv"
+    whole = path.read_bytes()
+    path.write_bytes(whole[:len(whole) // 2])
+    assert _report(small_bundle, primed) == 0
+    assert len(shap_calls) == 2
+    assert path.read_bytes() == whole
+    assert (primed / "report.json").read_bytes() == (small_report / "report.json").read_bytes()
+    assert not list(primed.glob("*.tmp"))
+
+
+def test_format_switch_recomputes_shapley(small_bundle, small_report, primed, shap_calls):
+    csv_bytes = {p.name: p.read_bytes() for p in primed.glob("shap_*.csv")}
+    assert _report(small_bundle, primed, "--format", "json") == 0
+    assert len(shap_calls) == 2
+    assert len(_files(primed, "shap_*.json")) == SHAP_FILES
+    assert _report(small_bundle, primed, "--format", "csv") == 0
+    assert len(shap_calls) == 4
+    assert {p.name: p.read_bytes() for p in primed.glob("shap_*.csv")} == csv_bytes
+
+
+def test_changed_models_recompute_shapley(small_bundle, primed, shap_calls):
+    models = {p.name: p.read_bytes() for p in primed.glob("model_*.json")}
+    assert main(["report", "--in", str(small_bundle), "--out", str(primed), "--seed", "12"]) == 0
+    assert {p.name: p.read_bytes() for p in primed.glob("model_*.json")} != models
+    assert len(shap_calls) == 2
+
+
+def test_theta_change_keeps_shapley_fresh(small_bundle, small_report, primed, monkeypatch):
+    entry = json.loads((primed / "manifest.json").read_text())["shap"]
+    before = _files(primed, "shap_*")
+    _forbid(monkeypatch, shapley, "shapley_batch")
+    assert _report(small_bundle, primed, "--theta", "60") == 0
+    assert json.loads((primed / "manifest.json").read_text())["shap"] == entry
+    assert _files(primed, "shap_*") == before
+    report = json.loads((primed / "report.json").read_text())
+    assert report["meta"]["thresholds"] == [60.0]
+    assert report["shap"] == json.loads((small_report / "report.json").read_text())["shap"]
 
 
 @pytest.mark.parametrize("key,value", [("mapping", "nearst"), ("format", "xml")])
