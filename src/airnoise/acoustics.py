@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedRow
+from . import tables
+from .errors import EmptyInput
 from .ingest import SAMPLES_PER_HOUR_NOMINAL
 from .spl import SplColumns, SplSample
 
@@ -100,47 +100,20 @@ def hourly_series(
     return out
 
 
-HOURLY_LAEQ_HEADER = "nmt_id,hour_start,laeq_dba,n_retained,completeness"
+HOURLY_LAEQ_HEADER = ("nmt_id", "hour_start", "laeq_dba", "n_retained", "completeness")
 
 
-def write_hourly_laeq(series: Iterable[HourlyLaeq], dest) -> None:
-    """Emit hourly_laeq.csv; an absent LAeq is an empty field."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_hourly_laeq(series, fh)
-        return
-    dest.write(HOURLY_LAEQ_HEADER + "\n")
-    for h in series:
-        level = "" if h.laeq is None else repr(h.laeq)
-        dest.write(f"{h.nmt_id},{h.hour_start.isoformat(timespec='minutes')},{level},{h.n_retained},{h.completeness!r}\n")
+def write_hourly_laeq(series: Iterable[HourlyLaeq], path, fmt: str = "csv") -> None:
+    """hourly_laeq.csv; an absent LAeq is an empty field."""
+    tables.write(path, HOURLY_LAEQ_HEADER, (
+        (h.nmt_id, tables.hour(h.hour_start), h.laeq, h.n_retained, h.completeness) for h in series
+    ), fmt)
 
 
-def read_hourly_laeq(source) -> list[HourlyLaeq]:
-    """Inverse of write_hourly_laeq.
-
-    A torn file raises MalformedRow: a wrong header, a row without its five
-    fields, or a last row without its line end.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return read_hourly_laeq(fh)
-    text = source.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != HOURLY_LAEQ_HEADER:
-        raise MalformedRow(1, f"expected header {HOURLY_LAEQ_HEADER}")
-    if not text.endswith("\n"):
-        raise MalformedRow(len(lines), "row cut short: no line end")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise MalformedRow(lineno, f"expected 5 fields, got {len(fields)}")
-        nmt_id, hour, level, n_ret, comp = fields
-        out.append(HourlyLaeq(
-            nmt_id=nmt_id,
-            hour_start=datetime.fromisoformat(hour),
-            laeq=None if level == "" else float(level),
-            n_retained=int(n_ret),
-            completeness=float(comp),
-        ))
-    return out
+def read_hourly_laeq(path) -> list[HourlyLaeq]:
+    """Inverse of write_hourly_laeq; a torn file raises MalformedRow."""
+    _, rows = tables.read(path, HOURLY_LAEQ_HEADER)
+    return [
+        HourlyLaeq(nmt_id, datetime.fromisoformat(hour), None if level == "" else float(level), int(n), float(c))
+        for nmt_id, hour, level, n, c in rows
+    ]

@@ -8,6 +8,12 @@ content-hash manifest (`manifest.json` under --out) reads its outputs back,
 and any other stage recomputes them, with identical results either way.
 Exposure and validation always recompute.
 
+Each layer module writes its own tables through `tables.write`, one format
+for csv and json; every artifact, the manifest and report.json included, is
+written to a temporary file that then replaces it. A table written in one
+--format removes the same table in the other (`_table_path`), so --out never
+holds a stale copy.
+
 Configuration comes from a plain key=value file (--config) overridden by
 flags. All randomness derives from the single --seed through named
 sub-streams, so adding a consumer never perturbs the others.
@@ -30,7 +36,6 @@ import functools
 import hashlib
 import json
 import os
-import signal
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -39,13 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acoustics, errors, fusion, ingest
+from . import acoustics, errors, fusion, ingest, tables
 from .errors import AirnoiseError, InvalidConfig, MalformedConfig, UsageError
 from .ingest import Operation
 
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
 MAPPINGS = (fusion.MAPPING_CONTAINING, fusion.MAPPING_NEAREST_CENTROID)
-FORMATS = ("csv", "json")
+FORMATS = tables.FORMATS
 
 
 @dataclass
@@ -181,14 +186,6 @@ def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_atomic(path: Path, write) -> None:
-    """``write(tmp)``, then move the temporary file onto ``path``, so a reader
-    never sees a partly written artifact."""
-    tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    os.replace(tmp, path)
-
-
 class Workspace:
     """Stage cache rooted at the output directory."""
 
@@ -233,14 +230,13 @@ class Workspace:
             self._save()
 
     def _save(self) -> None:
-        text = json.dumps(self.manifest, sort_keys=True, indent=1)
-        _write_atomic(self.manifest_path, lambda p: p.write_text(text, encoding="utf-8"))
+        tables.write_json(self.manifest_path, self.manifest)
 
     def stage(self, name: str, parts, outputs: list[Path], load, compute):
         """The result of a cached stage. If the stage last ran on the digest of
         ``parts`` and its outputs are unchanged since, that is ``load()``.
-        Otherwise ``compute()`` returns the result and a writer per output
-        path; each output is written atomically, then the run is recorded."""
+        Otherwise ``compute()`` writes the outputs and returns the result, and
+        the run is recorded."""
         digest = self.digest(*parts)
         if self.fresh(name, digest, outputs):
             try:
@@ -248,9 +244,7 @@ class Workspace:
             except (AirnoiseError, ValueError):
                 pass  # a torn artifact is a miss
         self.forget(name)
-        result, writers = compute()
-        for path in outputs:
-            _write_atomic(path, writers[path])
+        result = compute()
         self.record(name, digest, outputs)
         return result
 
@@ -269,8 +263,7 @@ def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime
         start = hours[0] if start is None else start
         end = hours[-1] + timedelta(hours=1) if end is None else end
     if start >= end:
-        raise UsageError(f"empty study window: start {start.isoformat(timespec='minutes')} "
-                         f"is not before end {end.isoformat(timespec='minutes')}")
+        raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
     return (start, end)
 
 
@@ -288,7 +281,8 @@ def _stage_laeq(ws: Workspace, cfg: RunConfig) -> list[acoustics.HourlyLaeq]:
 
     def compute():
         series = acoustics.hourly_series(ingest.parse_spl(cfg.in_dir / "spl.csv"), cfg.retention_dba)
-        return series, {out: lambda p: acoustics.write_hourly_laeq(series, p)}
+        acoustics.write_hourly_laeq(series, out)
+        return series
 
     return ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), [out],
                     lambda: acoustics.read_hourly_laeq(out), compute)
@@ -304,7 +298,8 @@ def _stage_fused(ws: Workspace, cfg: RunConfig, series) -> list[fusion.TractHour
         hours = ingest.window_hours((cfg.window_start, cfg.window_end))
         mapping = fusion.map_tracts(nmts, tracts, cfg.mapping)
         records = fusion.fuse(population, series, mapping, tracts, hours)
-        return records, {out: lambda p: fusion.write_fused(records, p)}
+        fusion.write_fused(records, out)
+        return records
 
     parts = (ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv", cfg.in_dir / "tracts.csv",
              cfg.in_dir / "nmts.csv", cfg.mapping, cfg.window_start, cfg.window_end)
@@ -320,7 +315,8 @@ def _stage_features(ws: Workspace, cfg: RunConfig, series) -> fusion.FeatureTabl
         nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
         hours = ingest.window_hours((cfg.window_start, cfg.window_end))
         table = fusion.build_features(flights, weather, nmts, series, hours)
-        return table, {out: lambda p: fusion.write_features(table, p)}
+        fusion.write_features(table, out)
+        return table
 
     parts = (ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv", cfg.in_dir / "weather.csv",
              cfg.in_dir / "nmts.csv", cfg.window_start, cfg.window_end)
@@ -434,6 +430,8 @@ class _Worker:
     def kill(self) -> None:
         """Stop and reap the worker, if it is still running."""
         if self.pid is not None:
+            import signal  # only here, so that validate does not load it
+
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
@@ -477,9 +475,9 @@ def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple]:
             raise
         ens, _, history = gbm.from_json(text)
         fitted[last] = (ens, history, text)
-        models = {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history, _) in fitted.items()}
-        return models, {outputs[name]: lambda p, text=text: p.write_text(text, encoding="utf-8")
-                        for name, (_, _, text) in fitted.items()}
+        for name, (_, _, text) in fitted.items():
+            tables.write_text(outputs[name], text)
+        return {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history, _) in fitted.items()}
 
     def load():
         return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
@@ -488,20 +486,13 @@ def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple]:
     return ws.stage("models", parts, list(outputs.values()), load, compute)
 
 
-def _table_writer(fmt: str, header: list[str], rows: list[list], csv_writer):
-    """The writer of a table to a path: ``csv_writer``, or one of a JSON record array."""
-    if fmt == "csv":
-        return csv_writer
-    records = [dict(zip(header, row)) for row in rows]
-    return lambda path: path.write_text(json.dumps(records, sort_keys=True, indent=1), encoding="utf-8")
-
-
-def _read_summary(path: Path) -> list[tuple[str, float]]:
-    """A feature ranking as `_stage_shap` writes it, in either format."""
-    if path.suffix == ".json":
-        return [(r["feature"], r["mean_abs_phi"]) for r in json.loads(path.read_text(encoding="utf-8"))]
-    lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    return [(feature, float(value)) for feature, value in (line.rsplit(",", 1) for line in lines)]
+def _table_path(out: Path, stem: str, fmt: str) -> Path:
+    """Where table ``stem`` goes in ``fmt``. The same table in the other
+    format, left by an earlier run, is removed, since it is now stale."""
+    for other in FORMATS:
+        if other != fmt:
+            (out / f"{stem}.{other}").unlink(missing_ok=True)
+    return out / f"{stem}.{fmt}"
 
 
 def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
@@ -516,39 +507,12 @@ def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
     correlations = exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])
 
     fmt = cfg.out_format
-    for theta, matrix in matrices.items():
+    for theta in matrices:
         tag = exposure.theta_tag(theta)
-        _table_writer(
-            fmt,
-            ["tract_id"] + [h.isoformat(timespec="minutes") for h in matrix.hours],
-            [[tract] + [float(v) for v in matrix.cells[i]] for i, tract in enumerate(matrix.tract_ids)],
-            lambda p, m=matrix: exposure.write_exposure_matrix(m, p),
-        )(ws.out / f"exposure_{tag}.{fmt}")
-        s = ginis[theta]
-        _table_writer(
-            fmt,
-            ["hour_start", "gini", "exposed_total", "mean_exposure"],
-            [[e.hour.isoformat(timespec="minutes"), e.gini, e.exposed_total, e.mean_exposure] for e in s.entries],
-            lambda p, s=s: exposure.write_gini_series(s, p),
-        )(ws.out / f"gini_{tag}.{fmt}")
-
-    comparison_rows = []
-    for theta in sorted(comparisons):
-        for r in comparisons[theta]:
-            comparison_rows.append([theta, r["hour"].isoformat(timespec="minutes"),
-                                    r["defacto_total"], r["residential_total"], r["delta"]])
-
-    def write_compare_csv(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("theta,hour_start,defacto_total,residential_total,delta\n")
-            for theta, hour, d, r, delta in comparison_rows:
-                fh.write(f"{theta!r},{hour},{d!r},{r!r},{delta!r}\n")
-
-    _table_writer(fmt, ["theta", "hour_start", "defacto_total", "residential_total", "delta"],
-                  comparison_rows, write_compare_csv)(ws.out / f"compare.{fmt}")
-    _table_writer(fmt, ["nmt_a", "nmt_b", "block_mean_correlation"],
-                  [[a, b, r] for (a, b), r in sorted(correlations.items())],
-                  lambda p: exposure.write_rotation(correlations, p))(ws.out / f"rotation.{fmt}")
+        exposure.write_exposure_matrix(matrices[theta], _table_path(ws.out, f"exposure_{tag}", fmt), fmt)
+        exposure.write_gini_series(ginis[theta], _table_path(ws.out, f"gini_{tag}", fmt), fmt)
+    exposure.write_comparison(comparisons, _table_path(ws.out, "compare", fmt), fmt)
+    exposure.write_rotation(correlations, _table_path(ws.out, "rotation", fmt), fmt)
     return matrices, ginis, comparisons, correlations
 
 
@@ -559,39 +523,30 @@ def _stage_shap(ws: Workspace, cfg: RunConfig, table, models) -> dict[str, list[
     fmt = cfg.out_format
     stems = {name: [f"shap_values_{name}", f"shap_summary_{name}",
                     *(f"shap_dependence_{name}_{feature}" for feature in MET_FEATURES)] for name in models}
-    outputs = {name: [ws.out / f"{stem}.{fmt}" for stem in group] for name, group in stems.items()}
+    outputs = {name: [_table_path(ws.out, stem, fmt) for stem in group] for name, group in stems.items()}
 
     def compute():
         _, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
-        summaries, writers = {}, {}
+        summaries = {}
         for name, (_, _, ensemble) in models.items():
-            ens = ensemble()
             X, _, keys = _model_rows(test_part, name)
-            atts = shapley.shapley_batch(ens, X, [f"{k[0]}|{k[1].isoformat(timespec='minutes')}" for k in keys])
+            atts = shapley.shapley_batch(ensemble(), X, [f"{k[0]}|{tables.hour(k[1])}" for k in keys])
             summaries[name] = ranking = shapley.summary(atts)
             values, summary, *dependence = outputs[name]
-            writers[values] = _table_writer(
-                fmt, ["key", "phi0"] + [f"phi_{n}" for n in ens.feature_names],
-                [[a.key, a.phi0] + [float(v) for v in a.phis] for a in atts],
-                lambda p, atts=atts: shapley.write_shap_values(atts, p),
-            )
-            writers[summary] = _table_writer(fmt, ["feature", "mean_abs_phi"], [[f, v] for f, v in ranking],
-                                             lambda p, r=ranking: shapley.write_shap_summary(r, p))
+            shapley.write_shap_values(atts, values, fmt)
+            shapley.write_shap_summary(ranking, summary, fmt)
             for feature, path in zip(MET_FEATURES, dependence):
-                pairs = shapley.dependence(atts, feature)
-                writers[path] = _table_writer(
-                    fmt, [feature, "phi"], [[v, p] for v, p in pairs],
-                    lambda p, pair=pairs, f=feature: shapley.write_shap_dependence(pair, f, p),
-                )
-        return summaries, writers
+                shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path, fmt)
+        return summaries
 
     parts = (ws.out / "features.csv", *(ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)
     return ws.stage("shap", parts, [p for group in outputs.values() for p in group],
-                    lambda: {name: _read_summary(group[1]) for name, group in outputs.items()}, compute)
+                    lambda: {name: shapley.read_shap_summary(group[1]) for name, group in outputs.items()}, compute)
 
 
-def _stage_validation(cfg: RunConfig, population, tracts):
-    """Per-tract diurnal labels and district-pair agreement statistics.
+def _stage_validation(ws: Workspace, cfg: RunConfig, population, tracts):
+    """Per-tract diurnal labels and district-pair agreement statistics, also
+    written to validation.csv.
 
     Works from the raw population stream so unmapped tracts are covered too.
     """
@@ -629,18 +584,12 @@ def _stage_validation(cfg: RunConfig, population, tracts):
             except AirnoiseError:
                 r2_pct = None
             pairs.append({"a": a.key, "b": b.key, "r2_absolute": r2_abs, "r2_pct_change": r2_pct})
+    rows = [("diurnal", tract, label) for tract, label in sorted(diurnal.items())]
+    for pair in pairs:
+        key = f"{pair['a']}|{pair['b']}"
+        rows += [("r2_absolute", key, pair["r2_absolute"]), ("r2_pct_change", key, pair["r2_pct_change"])]
+    tables.write(ws.out / "validation.csv", ("kind", "key", "value"), rows)
     return {"diurnal": diurnal, "district_r2": pairs}
-
-
-def _write_validation_csv(ws: Workspace, result: dict) -> None:
-    with open(ws.out / "validation.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("kind,key,value\n")
-        for tract, label in sorted(result["diurnal"].items()):
-            fh.write(f"diurnal,{tract},{label}\n")
-        for pair in result["district_r2"]:
-            a, b = pair["a"], pair["b"]
-            fh.write(f"r2_absolute,{a}|{b},{'' if pair['r2_absolute'] is None else repr(pair['r2_absolute'])}\n")
-            fh.write(f"r2_pct_change,{a}|{b},{'' if pair['r2_pct_change'] is None else repr(pair['r2_pct_change'])}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +616,7 @@ def cmd_validate(args) -> int:
         {"stream": f.stream, "kind": f.kind, "key": f.key, "detail": f.detail, "severity": f.severity}
         for f in report.findings
     ]
-    (cfg.out_dir / "findings.json").write_text(
-        json.dumps({"findings": findings, "streams_checked": 6}, sort_keys=True, indent=1),
-        encoding="utf-8",
-    )
+    tables.write_json(cfg.out_dir / "findings.json", {"findings": findings, "streams_checked": 6})
     print(f"validate: {report.error_count} finding(s) across 6 streams")
     return 1 if report.error_count else 0
 
@@ -747,15 +693,10 @@ def cmd_report(args) -> int:
     summaries = _stage_shap(ws, cfg, table, models)
     tracts = ingest.parse_tracts(cfg.in_dir / "tracts.csv")
     population = ingest.parse_population(cfg.in_dir / "population.csv")
-    validation_result = _stage_validation(cfg, population, tracts)
-    _write_validation_csv(ws, validation_result)
-
-    def iso(ts):
-        return ts.isoformat(timespec="minutes")
-
+    validation_result = _stage_validation(ws, cfg, population, tracts)
     report = {
         "meta": {
-            "window": {"start": iso(window[0]), "end": iso(window[1])},
+            "window": {"start": tables.hour(window[0]), "end": tables.hour(window[1])},
             "thresholds": list(cfg.thresholds),
             "retention_dba": cfg.retention_dba,
             "mapping": cfg.mapping,
@@ -764,14 +705,14 @@ def cmd_report(args) -> int:
         },
         "exposure": {
             exposure.theta_tag(t): {
-                "hours": [iso(h) for h in m.hours],
+                "hours": [tables.hour(h) for h in m.hours],
                 "hourly_total": [float(m.cells[:, j].sum()) for j in range(len(m.hours))],
             }
             for t, m in matrices.items()
         },
         "gini": {
             exposure.theta_tag(t): [
-                {"hour": iso(e.hour), "gini": e.gini,
+                {"hour": tables.hour(e.hour), "gini": e.gini,
                  "exposed_total": e.exposed_total, "mean_exposure": e.mean_exposure}
                 for e in s.entries
             ]
@@ -779,7 +720,7 @@ def cmd_report(args) -> int:
         },
         "comparison": {
             exposure.theta_tag(t): [
-                {"hour": iso(r["hour"]), "defacto_total": r["defacto_total"],
+                {"hour": tables.hour(r["hour"]), "defacto_total": r["defacto_total"],
                  "residential_total": r["residential_total"], "delta": r["delta"]}
                 for r in rows
             ]
@@ -806,9 +747,7 @@ def cmd_report(args) -> int:
         },
         "validation": validation_result,
     }
-    (ws.out / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=1), encoding="utf-8"
-    )
+    tables.write_json(ws.out / "report.json", report)
     print(f"report: wrote {ws.out / 'report.json'} "
           f"({len(matrices)} thresholds, {len(correlations)} terminal pairs)")
     return 0

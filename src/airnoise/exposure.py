@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import tables
 from .acoustics import HourlyLaeq
 from .errors import GridMismatch, InsufficientData, NegativeValue
 from .fusion import TractHourRecord
@@ -212,36 +212,27 @@ def theta_tag(theta: float) -> str:
     return str(int(theta)) if float(theta).is_integer() else repr(float(theta)).replace(".", "p")
 
 
-def write_exposure_matrix(matrix: ExposureMatrix, dest) -> None:
-    """exposure_{theta}.csv: one row per tract, one column per hour."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_exposure_matrix(matrix, fh)
-        return
-    hours = ",".join(h.isoformat(timespec="minutes") for h in matrix.hours)
-    dest.write(f"tract_id,{hours}\n")
-    for i, tract in enumerate(matrix.tract_ids):
-        row = ",".join(repr(float(v)) for v in matrix.cells[i])
-        dest.write(f"{tract},{row}\n")
+def write_exposure_matrix(matrix: ExposureMatrix, path, fmt: str = "csv") -> None:
+    """exposure_{theta}: one row per tract, one column per hour."""
+    tables.write(path, ["tract_id", *map(tables.hour, matrix.hours)],
+                 ([tract, *cells] for tract, cells in zip(matrix.tract_ids, matrix.cells.tolist())), fmt)
 
 
-def write_gini_series(series: GiniSeries, dest) -> None:
-    """gini_{theta}.csv; undefined Gini is an empty field, never 0 or NaN."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_gini_series(series, fh)
-        return
-    dest.write("hour_start,gini,exposed_total,mean_exposure\n")
-    for e in series.entries:
-        g = "" if e.gini is None else repr(e.gini)
-        dest.write(f"{e.hour.isoformat(timespec='minutes')},{g},{e.exposed_total!r},{e.mean_exposure!r}\n")
+def write_gini_series(series: GiniSeries, path, fmt: str = "csv") -> None:
+    """gini_{theta}; an undefined Gini is an empty field (null), never 0 or NaN."""
+    tables.write(path, ("hour_start", "gini", "exposed_total", "mean_exposure"), (
+        (tables.hour(e.hour), e.gini, e.exposed_total, e.mean_exposure) for e in series.entries
+    ), fmt)
 
 
-def write_rotation(correlations: dict[tuple[str, str], float], dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_rotation(correlations, fh)
-        return
-    dest.write("nmt_a,nmt_b,block_mean_correlation\n")
-    for (a, b), r in sorted(correlations.items()):
-        dest.write(f"{a},{b},{r!r}\n")
+def write_comparison(comparisons: dict[float, list[dict]], path, fmt: str = "csv") -> None:
+    """compare: per threshold and hour, the exposed totals on both bases and their difference."""
+    tables.write(path, ("theta", "hour_start", "defacto_total", "residential_total", "delta"), (
+        (theta, tables.hour(r["hour"]), r["defacto_total"], r["residential_total"], r["delta"])
+        for theta in sorted(comparisons) for r in comparisons[theta]
+    ), fmt)
+
+
+def write_rotation(correlations: dict[tuple[str, str], float], path, fmt: str = "csv") -> None:
+    tables.write(path, ("nmt_a", "nmt_b", "block_mean_correlation"),
+                 ((a, b, r) for (a, b), r in sorted(correlations.items())), fmt)

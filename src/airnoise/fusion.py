@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import tables
 from .acoustics import HourlyLaeq
 from .errors import AmbiguousMapping, MissingPopulation, MissingWeather, UnknownTract
 from .ingest import FlightEvent, NmtMeta, Operation, PopulationRecord, TractMeta, WeatherHour
@@ -130,7 +130,7 @@ def fuse(
     residents = {t.tract_id: t.resident_count for t in tracts}
 
     missing = [
-        (tract, hour.isoformat(timespec="minutes"))
+        (tract, tables.hour(hour))
         for tract in sorted(mapping) for hour in hours
         if (tract, hour) not in pop
     ]
@@ -237,7 +237,7 @@ def build_features(
     weather_by_hour = {w.hour_start: w for w in weather}
     for hour in hours:
         if hour not in weather_by_hour:
-            raise MissingWeather(hour.isoformat(timespec="minutes"))
+            raise MissingWeather(tables.hour(hour))
 
     combos = rank_combos(flights)
     combo_index = {name: i for i, name in enumerate(combos)}
@@ -313,76 +313,47 @@ def build_features(
 # ---------------------------------------------------------------------------
 # file outputs
 
-def write_fused(records: Iterable[TractHourRecord], dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_fused(records, fh)
-        return
-    dest.write("tract_id,hour_start,population_defacto,population_resident,laeq_dba,source_nmt\n")
-    for r in records:
-        level = "" if r.laeq is None else repr(r.laeq)
-        dest.write(
-            f"{r.tract_id},{r.hour_start.isoformat(timespec='minutes')},"
-            f"{r.population_defacto!r},{r.population_resident!r},{level},{r.source_nmt}\n"
-        )
+FUSED_HEADER = ("tract_id", "hour_start", "population_defacto", "population_resident", "laeq_dba", "source_nmt")
+# the 22 feature names vary with the data, so the reader takes any
+FEATURES_HEADER = ("nmt_id", "hour_start", "operation", *(None,) * N_FEATURES, "takeoff_laeq", "landing_laeq")
 
 
-def write_features(table: FeatureTable, dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_features(table, fh)
-        return
-    cols = ",".join(table.feature_names)
-    dest.write(f"nmt_id,hour_start,operation,{cols},takeoff_laeq,landing_laeq\n")
-    for (nmt, hour, op), row, t, l in zip(table.keys, table.matrix, table.takeoff_laeq, table.landing_laeq):
-        values = ",".join(repr(float(v)) for v in row)
-        t_s = "" if math.isnan(t) else repr(float(t))
-        l_s = "" if math.isnan(l) else repr(float(l))
-        dest.write(f"{nmt},{hour.isoformat(timespec='minutes')},{op.value},{values},{t_s},{l_s}\n")
+def write_fused(records: Iterable[TractHourRecord], path, fmt: str = "csv") -> None:
+    """fused.csv; an absent level is an empty field."""
+    tables.write(path, FUSED_HEADER, (
+        (r.tract_id, tables.hour(r.hour_start), r.population_defacto, r.population_resident, r.laeq, r.source_nmt)
+        for r in records
+    ), fmt)
 
 
-def read_fused(source) -> list[TractHourRecord]:
-    """Inverse of write_fused (floats round-trip exactly via repr)."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return read_fused(fh)
-    lines = source.read().splitlines()
-    out = []
-    for line in lines[1:]:
-        tract, hour, pop_d, pop_r, level, nmt = line.split(",")
-        out.append(TractHourRecord(
-            tract_id=tract,
-            hour_start=datetime.fromisoformat(hour),
-            population_defacto=float(pop_d),
-            population_resident=float(pop_r),
-            laeq=None if level == "" else float(level),
-            source_nmt=nmt,
-        ))
-    return out
+def write_features(table: FeatureTable, path, fmt: str = "csv") -> None:
+    """features.csv; an absent target is an empty field."""
+    header = (*FEATURES_HEADER[:3], *table.feature_names, *FEATURES_HEADER[-2:])
+    tables.write(path, header, (
+        (nmt, tables.hour(hour), op.value, *row, None if math.isnan(t) else t, None if math.isnan(l) else l)
+        for (nmt, hour, op), row, t, l in zip(
+            table.keys, table.matrix.tolist(), table.takeoff_laeq.tolist(), table.landing_laeq.tolist())
+    ), fmt)
 
 
-def read_features(source) -> FeatureTable:
-    """Inverse of write_features."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return read_features(fh)
-    lines = source.read().splitlines()
-    header = lines[0].split(",")
-    feature_names = header[3:-2]
-    keys = []
-    rows = []
-    takeoff = []
-    landing = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        keys.append((fields[0], datetime.fromisoformat(fields[1]), Operation(fields[2])))
-        rows.append([float(v) for v in fields[3:-2]])
-        takeoff.append(math.nan if fields[-2] == "" else float(fields[-2]))
-        landing.append(math.nan if fields[-1] == "" else float(fields[-1]))
+def read_fused(path) -> list[TractHourRecord]:
+    """Inverse of write_fused (floats round-trip exactly via repr); a torn
+    file raises MalformedRow."""
+    _, rows = tables.read(path, FUSED_HEADER)
+    return [
+        TractHourRecord(tract, datetime.fromisoformat(hour), float(pop_d), float(pop_r),
+                        None if level == "" else float(level), nmt)
+        for tract, hour, pop_d, pop_r, level, nmt in rows
+    ]
+
+
+def read_features(path) -> FeatureTable:
+    """Inverse of write_features; a torn file raises MalformedRow."""
+    header, rows = tables.read(path, FEATURES_HEADER)
     return FeatureTable(
-        keys=keys,
-        feature_names=feature_names,
-        matrix=np.array(rows) if rows else np.empty((0, N_FEATURES)),
-        takeoff_laeq=np.array(takeoff),
-        landing_laeq=np.array(landing),
+        keys=[(nmt, datetime.fromisoformat(hour), Operation(op)) for nmt, hour, op, *_ in rows],
+        feature_names=header[3:-2],
+        matrix=np.array([[float(v) for v in row[3:-2]] for row in rows]) if rows else np.empty((0, N_FEATURES)),
+        takeoff_laeq=np.array([math.nan if row[-2] == "" else float(row[-2]) for row in rows]),
+        landing_laeq=np.array([math.nan if row[-1] == "" else float(row[-1]) for row in rows]),
     )

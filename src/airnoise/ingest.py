@@ -39,10 +39,11 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import DuplicateKey, MalformedRow, RangeViolation
 from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, SplSample, parse_chunk
 
@@ -282,7 +283,7 @@ def parse_weather(source) -> list[WeatherHour]:
     for lineno, (hour, temp, wind, wdir, cloud) in _rows(source, WEATHER_HEADER):
         hs = _hour(hour, lineno, "hour_start")
         if hs in seen:
-            raise DuplicateKey(lineno, hs.isoformat(timespec="minutes"))
+            raise DuplicateKey(lineno, tables.hour(hs))
         seen.add(hs)
         ws = _float(wind, lineno, "wind_speed")
         if ws < 0:
@@ -304,7 +305,7 @@ def parse_population(source) -> list[PopulationRecord]:
         hs = _hour(hour, lineno, "hour_start")
         key = (tract, hs)
         if key in seen:
-            raise DuplicateKey(lineno, (tract, hs.isoformat(timespec="minutes")))
+            raise DuplicateKey(lineno, (tract, tables.hour(hs)))
         seen.add(key)
         n = _float(count, lineno, "defacto_count")
         if n < 0:
@@ -360,26 +361,8 @@ def parse_bundle(directory) -> Bundle:
 #
 # serialize(parse(x)) reproduces x up to canonical number formatting: floats
 # are written with repr() (shortest round-trip form), hours with minute
-# precision, timestamps with second precision.
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _hs(ts: datetime) -> str:
-    return ts.isoformat(timespec="minutes")
-
-
-def _write(stream_or_path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    if isinstance(stream_or_path, (str, Path)):
-        with open(stream_or_path, "w", encoding="utf-8", newline="") as fh:
-            _write(fh, header, rows)
-        return
-    fh: TextIO = stream_or_path
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(row) + "\n")
-
+# precision, timestamps with second precision. Every stream but spl.csv is
+# written by tables.write.
 
 def write_spl(samples: Iterable[SplSample], dest) -> None:
     """Write the stream from its columns.
@@ -419,38 +402,40 @@ def write_spl(samples: Iterable[SplSample], dest) -> None:
         ))) + "\n")
 
 
-def write_flights(flights: Iterable[FlightEvent], dest) -> None:
-    _write(dest, FLIGHTS_HEADER, (
+def write_flights(flights: Iterable[FlightEvent], path, fmt: str = "csv") -> None:
+    tables.write(path, FLIGHTS_HEADER, (
         (f.timestamp.isoformat(timespec="seconds"), f.operation.value, f.runway,
          f.aircraft_type, f.engine_type, f.airline)
         for f in flights
-    ))
+    ), fmt)
 
 
-def write_weather(hours: Iterable[WeatherHour], dest) -> None:
-    _write(dest, WEATHER_HEADER, (
-        (_hs(w.hour_start), _fmt(w.temperature), _fmt(w.wind_speed), _fmt(w.wind_direction), str(w.cloud_cover))
+def write_weather(hours: Iterable[WeatherHour], path, fmt: str = "csv") -> None:
+    tables.write(path, WEATHER_HEADER, (
+        (tables.hour(w.hour_start), float(w.temperature), float(w.wind_speed), float(w.wind_direction),
+         int(w.cloud_cover))
         for w in hours
-    ))
+    ), fmt)
 
 
-def write_population(records: Iterable[PopulationRecord], dest) -> None:
-    _write(dest, POPULATION_HEADER, (
-        (p.tract_id, _hs(p.hour_start), _fmt(p.defacto_count)) for p in records
-    ))
+def write_population(records: Iterable[PopulationRecord], path, fmt: str = "csv") -> None:
+    tables.write(path, POPULATION_HEADER, (
+        (p.tract_id, tables.hour(p.hour_start), float(p.defacto_count)) for p in records
+    ), fmt)
 
 
-def write_tracts(tracts: Iterable[TractMeta], dest) -> None:
-    _write(dest, TRACTS_HEADER, (
-        (t.tract_id, t.district_id, _fmt(t.centroid[0]), _fmt(t.centroid[1]), _fmt(t.resident_count), t.land_use.value)
+def write_tracts(tracts: Iterable[TractMeta], path, fmt: str = "csv") -> None:
+    tables.write(path, TRACTS_HEADER, (
+        (t.tract_id, t.district_id, float(t.centroid[0]), float(t.centroid[1]), float(t.resident_count),
+         t.land_use.value)
         for t in tracts
-    ))
+    ), fmt)
 
 
-def write_nmts(nmts: Iterable[NmtMeta], dest) -> None:
-    _write(dest, NMTS_HEADER, (
-        (n.nmt_id, n.tract_id, _fmt(n.location[0]), _fmt(n.location[1])) for n in nmts
-    ))
+def write_nmts(nmts: Iterable[NmtMeta], path, fmt: str = "csv") -> None:
+    tables.write(path, NMTS_HEADER, (
+        (n.nmt_id, n.tract_id, float(n.location[0]), float(n.location[1])) for n in nmts
+    ), fmt)
 
 
 def write_bundle(bundle: Bundle, directory) -> None:
@@ -513,9 +498,6 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
     add = report.findings.append
     spl = SplColumns.from_samples(bundle.spl)
 
-    def hs(ts: datetime) -> str:
-        return ts.isoformat(timespec="minutes")
-
     # -- window membership
     def in_window(ts: datetime) -> bool:
         return window[0] <= ts < window[1]
@@ -529,16 +511,16 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
             add(Finding("flights", OUT_OF_WINDOW, f.timestamp.isoformat(), f.runway))
     for w in bundle.weather:
         if not in_window(w.hour_start):
-            add(Finding("weather", OUT_OF_WINDOW, hs(w.hour_start), ""))
+            add(Finding("weather", OUT_OF_WINDOW, tables.hour(w.hour_start), ""))
     for p in bundle.population:
         if not in_window(p.hour_start):
-            add(Finding("population", OUT_OF_WINDOW, hs(p.hour_start), p.tract_id))
+            add(Finding("population", OUT_OF_WINDOW, tables.hour(p.hour_start), p.tract_id))
 
     # -- weather coverage: exactly one record per window hour
     weather_hours = {w.hour_start for w in bundle.weather}
     for h in hours:
         if h not in weather_hours:
-            add(Finding("weather", COVERAGE_GAP, hs(h), "no weather record"))
+            add(Finding("weather", COVERAGE_GAP, tables.hour(h), "no weather record"))
 
     # -- population coverage per tract
     pop_keys = {(p.tract_id, p.hour_start) for p in bundle.population}
@@ -546,7 +528,7 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
     for t in sorted(tract_ids):
         for h in hours:
             if (t, h) not in pop_keys:
-                add(Finding("population", COVERAGE_GAP, f"{t}@{hs(h)}", "no population record"))
+                add(Finding("population", COVERAGE_GAP, f"{t}@{tables.hour(h)}", "no population record"))
 
     # -- SPL duplicates (every repeat of a (terminal, timestamp), in file
     #    order), coverage and per-NMT-hour completeness
@@ -564,7 +546,7 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
             c = counts.get((n, h), 0)
             report.completeness[(n, h)] = c / SAMPLES_PER_HOUR_NOMINAL
             if c == 0:
-                add(Finding("spl", COVERAGE_GAP, f"{n}@{hs(h)}", "no samples"))
+                add(Finding("spl", COVERAGE_GAP, f"{n}@{tables.hour(h)}", "no samples"))
 
     # -- dangling references
     for n in bundle.nmts:

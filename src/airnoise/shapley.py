@@ -46,11 +46,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import EmptyInput, TooManyFeatures, UnknownFeature
 from .gbm import Ensemble, TreeNode
 
@@ -353,36 +353,26 @@ def dependence(attributions: Sequence[Attribution], feature: str) -> list[tuple[
 # ---------------------------------------------------------------------------
 # file outputs
 
-def write_shap_values(attributions: Sequence[Attribution], dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_shap_values(attributions, fh)
-        return
+SUMMARY_HEADER = ("feature", "mean_abs_phi")
+
+
+def write_shap_values(attributions: Sequence[Attribution], path, fmt: str = "csv") -> None:
+    """shap_values: per row, its key, phi0 and one phi per feature."""
     if not attributions:
         raise EmptyInput("no attributions")
-    names = attributions[0].feature_names
-    cols = ",".join(f"phi_{n}" for n in names)
-    dest.write(f"key,phi0,{cols}\n")
-    for a in attributions:
-        phis = ",".join(repr(float(v)) for v in a.phis)
-        dest.write(f"{a.key},{a.phi0!r},{phis}\n")
+    tables.write(path, ["key", "phi0", *(f"phi_{n}" for n in attributions[0].feature_names)],
+                 ([a.key, a.phi0, *a.phis.tolist()] for a in attributions), fmt)
 
 
-def write_shap_summary(ranking: Sequence[tuple[str, float]], dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_shap_summary(ranking, fh)
-        return
-    dest.write("feature,mean_abs_phi\n")
-    for name, value in ranking:
-        dest.write(f"{name},{value!r}\n")
+def write_shap_summary(ranking: Sequence[tuple[str, float]], path, fmt: str = "csv") -> None:
+    tables.write(path, SUMMARY_HEADER, ranking, fmt)
 
 
-def write_shap_dependence(pairs: Sequence[tuple[float, float]], feature: str, dest) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_shap_dependence(pairs, feature, fh)
-        return
-    dest.write(f"{feature},phi\n")
-    for value, phi in pairs:
-        dest.write(f"{value!r},{phi!r}\n")
+def read_shap_summary(path) -> list[tuple[str, float]]:
+    """Inverse of write_shap_summary, in either format."""
+    _, rows = tables.read(path, SUMMARY_HEADER)
+    return [(feature, float(value)) for feature, value in rows]
+
+
+def write_shap_dependence(pairs: Sequence[tuple[float, float]], feature: str, path, fmt: str = "csv") -> None:
+    tables.write(path, (feature, "phi"), pairs, fmt)

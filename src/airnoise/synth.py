@@ -35,7 +35,6 @@ keeps as the reference.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -45,6 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import tables
 from .errors import InvalidConfig
 from .ingest import (
     Bundle,
@@ -196,8 +196,8 @@ class GroundTruth:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "window_start": self.window_start.isoformat(timespec="minutes"),
-            "window_end": self.window_end.isoformat(timespec="minutes"),
+            "window_start": tables.hour(self.window_start),
+            "window_end": tables.hour(self.window_end),
             "block_hours": self.block_hours,
             "landing_runway_by_parity": {str(k): v for k, v in self.landing_runway_by_parity.items()},
             "quiet_hours": self.quiet_hours,
@@ -399,7 +399,7 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
                 level += config.cloud_step
             for combo, count in combo_counts.get(h, {}).items():
                 level += config.combo_coeffs.get(combo, 0.0) * count
-            key = f"{nmt.nmt_id}|{h.isoformat(timespec='minutes')}"
+            key = f"{nmt.nmt_id}|{tables.hour(h)}"
             keys.append(key)
             clean.append(level)
             clean_level[key] = round(level, 6)
@@ -472,8 +472,6 @@ def write_scenario(config: ScenarioConfig, out_dir) -> tuple[Bundle, GroundTruth
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_bundle(bundle, out)
-    (out / "ground_truth.json").write_text(
-        json.dumps(truth.to_dict(), sort_keys=True, indent=1), encoding="utf-8"
-    )
+    tables.write_json(out / "ground_truth.json", truth.to_dict())
     return bundle, truth
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -615,3 +616,128 @@ def test_worker_death_exits_1_with_one_line(small_bundle, tmp_path, capsys, no_w
     capsys.readouterr()
     assert main(["report", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--seed", "11"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# --- every artifact's bytes ----------------------------------------------------
+
+# sha256 of every file that `validate` and then `report --seed 11` write into
+# an empty --out on the seed-11 3-day bundle, per --format
+GOLDEN = {
+    "csv": {
+        "compare.csv": "3d23529f6ee065743fee1b08669a7603ca24d7dcaf56d16cf502d8b7074a2894",
+        "exposure_65.csv": "b319d3519fe17c4d97f83585bf295ed06af07996530002f6d6430513c4318837",
+        "exposure_70.csv": "a044362ee0791ae05a11d13d2a552bc6b15c82481bc8522977565b893bc30dc5",
+        "features.csv": "b8110ac0fe5df90805b649dadd5e4cba031695648ae70f5b79102ed32510621a",
+        "findings.json": "10ebf322dd986260f70274a15c068bb33a8b7f7a95c2f8c81202481d29c17f5a",
+        "fused.csv": "445e42160c6755cef155d9df63b61e6a668eee94e711e900b38fc6aac3d28f5a",
+        "gini_65.csv": "5ab2ec6d4b6f7cf51d75bdd17ebc74e8089105bc9e22cc3d7939390dda805a47",
+        "gini_70.csv": "c9758f8d3a8573f202c36b91b1ba14d09f554e778f58584c9d272ea8818576a6",
+        "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
+        "manifest.json": "7fcf39d9d01e401a72d2f1cfd2ef5dcabc84d8727d31fdd02d129d9884f2be6a",
+        "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
+        "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
+        "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
+        "rotation.csv": "db7b255e89887d85dd565e7421273d9a4d424411617f97c20950178bb3fe7a04",
+        "shap_dependence_landing_cloud_cover_tenths.csv":
+            "8302ab41ec0f6da2d5043d65a39968b47f307b103100ef21d90b37d654b64f26",
+        "shap_dependence_landing_temperature_c.csv":
+            "2325628376343fb6c7c598032a557ef15bef40f5b612bbb4f026b33a9f6abd08",
+        "shap_dependence_landing_wind_deviation_deg.csv":
+            "56742f21a7bffb7d985aa77516afe6c8e0d5d47cd8d0cf39a5a90542c88d95e5",
+        "shap_dependence_landing_wind_speed_kt.csv":
+            "c4ff643d3f6ddd8f0f0dd477cd2ba98b18761a02e3914348b836b37a01af112d",
+        "shap_dependence_takeoff_cloud_cover_tenths.csv":
+            "289a49cf7439e8b8dec30d88e1ac288009c94fc2640f34831841a7dc4dbe0ee4",
+        "shap_dependence_takeoff_temperature_c.csv":
+            "ec4904030e5cf8b99aa7810819a9ea6252f2348788f336e82077ec424ed3546b",
+        "shap_dependence_takeoff_wind_deviation_deg.csv":
+            "8bd4015c6c0f25171ae5402754390ab1226bb8acea1d4374057d9e953b74aec2",
+        "shap_dependence_takeoff_wind_speed_kt.csv":
+            "8c9592f9902a1b7a281bcf3cce7b6d7bea60f77a641e703475d7f00a5c1efe63",
+        "shap_summary_landing.csv": "05fc58a311cf773be8e9c7b38b36c8d4a42c6b7b1205778eefe0f70263facc78",
+        "shap_summary_takeoff.csv": "468fb2a2bd4b789ecd20810194fb82fe1c8728d293b0027fd27a816e4a76268d",
+        "shap_values_landing.csv": "012af5850dbd3de2586b2282a62d819f40aea1a59428b2180095436807996c6f",
+        "shap_values_takeoff.csv": "91baa26c9a97e9b3731af7ac142e891087d286485a3cce4774ddd692385ae3b3",
+        "validation.csv": "b2aeae53483e9ac8e90bcc38eabe0d60c12c790a26899c14b21b91c60319d4e9",
+    },
+    "json": {
+        "compare.json": "fc6d87e8bac2c1bd6ed19d0afac1352a1fad6404ea62643ef9ff0ef65088089f",
+        "exposure_65.json": "00bff06db468c3219a0af88e07bc4994993105eea70103879ec10d4cc818fd5c",
+        "exposure_70.json": "0e0ea8388c1ef22cef0c938f805e3f8cb412d461f926dd3a22aa1336331412e1",
+        "features.csv": "b8110ac0fe5df90805b649dadd5e4cba031695648ae70f5b79102ed32510621a",
+        "findings.json": "10ebf322dd986260f70274a15c068bb33a8b7f7a95c2f8c81202481d29c17f5a",
+        "fused.csv": "445e42160c6755cef155d9df63b61e6a668eee94e711e900b38fc6aac3d28f5a",
+        "gini_65.json": "1b40ca88146986fa9812b118afc5e58e149b12964b58f456f13b2afde44029dd",
+        "gini_70.json": "00b210ef9c500f9f9ad2fda3d5f68b9cc4c76234dec54b63143fd61bd61f9bbf",
+        "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
+        "manifest.json": "5b6531cd701d64b12b6de3e93f6f28fab322714923059da270a0cdcc034664f7",
+        "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
+        "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
+        "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
+        "rotation.json": "0aa63b89f8e0bfbcaaea5accfd775921e56df99fec85ef8b4ee26bb90c7db044",
+        "shap_dependence_landing_cloud_cover_tenths.json":
+            "6b893aa32f536ac67841145139f4e7efac2c228d1b9bd8997eb0fbd9980e9a2e",
+        "shap_dependence_landing_temperature_c.json":
+            "04cd0895dd17ac594f7bd06c611811062c3b6c8b87301d579fb39ac8c8d7121d",
+        "shap_dependence_landing_wind_deviation_deg.json":
+            "b5ba41fd627d1678c7a99afd834b223acf47402ccda0875c1aab56466618f954",
+        "shap_dependence_landing_wind_speed_kt.json":
+            "561f378071d5a146a5cbe5f5d18ad7310a3ed52d4262354ea53cba8f91fa5e1c",
+        "shap_dependence_takeoff_cloud_cover_tenths.json":
+            "287d7debe530cd8e76ebef805c6869fb90576c45886570015f27124c40d9dd4f",
+        "shap_dependence_takeoff_temperature_c.json":
+            "282a03a3a323c1a5c72a71ca41ef0e761c878884ce4eae0c31b261af377af441",
+        "shap_dependence_takeoff_wind_deviation_deg.json":
+            "60542c083eed92b3cdf439684fb8f6f3fa763aaff53d1d2e72105d8c90dddf2d",
+        "shap_dependence_takeoff_wind_speed_kt.json":
+            "295f17fc968a0d8d01e8f54740a8ee5cc7362f7da59af6194448c5e337f97ff6",
+        "shap_summary_landing.json": "981a275a95dc3f0376d80b418a24d8d4914928b7f0614b7cdbea60f3e9334292",
+        "shap_summary_takeoff.json": "af2d743816126442a7e840dd5dd4b8044cd927645a37119914af63abde4c9294",
+        "shap_values_landing.json": "9a362a110bd00faf494e4d78ba53232ac741eda1dbd90b8b518ef94a36a3d0b6",
+        "shap_values_takeoff.json": "b6691508cfc4225aaec18c41e072d89646093ea915dff0deac7f07652e566c77",
+        "validation.csv": "b2aeae53483e9ac8e90bcc38eabe0d60c12c790a26899c14b21b91c60319d4e9",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN))
+def test_artifact_bytes_pinned(small_bundle, tmp_path, fmt):
+    out = tmp_path / "out"
+    assert main(["validate", "--in", str(small_bundle), "--out", str(out), "--format", fmt]) == 0
+    assert _report(small_bundle, out, "--format", fmt) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN[fmt]
+
+
+# name prefixes of the tables that --format chooses the format of
+BOTH_FORMATS = ("exposure_", "gini_", "compare", "rotation", "shap_")
+
+
+def test_format_switch_removes_the_other_formats_tables(small_bundle, primed):
+    def tables_in(fmt):
+        return sorted(p.stem for prefix in BOTH_FORMATS for p in primed.glob(f"{prefix}*.{fmt}"))
+
+    stems = tables_in("csv")
+    assert len(stems) == 6 + SHAP_FILES and not tables_in("json")
+    assert _report(small_bundle, primed, "--seed", "12", "--format", "json") == 0
+    assert tables_in("json") == stems and not tables_in("csv")
+    assert _report(small_bundle, primed, "--seed", "12", "--format", "csv") == 0
+    assert tables_in("csv") == stems and not tables_in("json")
+
+
+# --- the benchmark's traced mode ----------------------------------------------
+
+def test_every_traced_function_resolves():
+    """perfbench/tracer.py wraps these by name before a traced run; one that
+    is missing would make every traced benchmark run fail."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module, name, _ in tracer.TRACED:
+        assert callable(getattr(importlib.import_module(f"airnoise.{module}"), name, None)), f"{module}.{name}"
+    assert callable(cli.Workspace.digest)

@@ -275,3 +275,36 @@ def test_features_round_trip(tmp_path):
     assert back.matrix.tolist() == table.matrix.tolist()
     assert np.array_equal(back.takeoff_laeq, table.takeoff_laeq, equal_nan=True)
     assert np.array_equal(back.landing_laeq, table.landing_laeq, equal_nan=True)
+
+
+def _torn(text: str, cut: str) -> str:
+    """A whole table cut inside its last row, cut before its final line end,
+    or given a foreign header."""
+    if cut == "mid-row":
+        return text[:text.rindex(",") - 2]
+    if cut == "no-final-line-end":
+        return text[:-1]
+    return "other" + text[text.index(","):]
+
+
+@pytest.mark.parametrize("cut", ["mid-row", "no-final-line-end", "wrong-header"])
+def test_torn_fused_and_features_raise_malformed_row(tmp_path, cut):
+    from airnoise.errors import MalformedRow
+    from airnoise.fusion import read_features, read_fused, write_features, write_fused
+
+    hours = [H0, H0 + timedelta(hours=1)]
+    records = fuse(
+        [PopulationRecord("T1", h, 12.375 + i) for i, h in enumerate(hours)],
+        [_hourly("N1", 0, 70.125), _hourly("N1", 1, 71.5)],
+        {"T1": "N1"}, [_tract("T1", residents=9.5)], hours,
+    )
+    table = build_features(
+        [_flight(5, Operation.DEPARTURE)], [_weather(0), _weather(1)],
+        [_nmt("N1", "T1")], [_hourly("N1", 0, 68.5), _hourly("N1", 1, 69.25)], hours,
+    )
+    for write, read, value in ((write_fused, read_fused, records), (write_features, read_features, table)):
+        path = tmp_path / "table.csv"
+        write(value, path)
+        path.write_text(_torn(path.read_text(encoding="utf-8"), cut), encoding="utf-8")
+        with pytest.raises(MalformedRow):
+            read(path)
