@@ -103,11 +103,11 @@ def hourly_series(
 HOURLY_LAEQ_HEADER = ("nmt_id", "hour_start", "laeq_dba", "n_retained", "completeness")
 
 
-def write_hourly_laeq(series: Iterable[HourlyLaeq], path, fmt: str = "csv") -> None:
+def write_hourly_laeq(series: Iterable[HourlyLaeq], path) -> None:
     """hourly_laeq.csv; an absent LAeq is an empty field."""
     tables.write(path, HOURLY_LAEQ_HEADER, (
         (h.nmt_id, tables.hour(h.hour_start), h.laeq, h.n_retained, h.completeness) for h in series
-    ), fmt)
+    ))
 
 
 def read_hourly_laeq(path) -> list[HourlyLaeq]:

@@ -8,11 +8,11 @@ content-hash manifest (`manifest.json` under --out) reads its outputs back,
 and any other stage recomputes them, with identical results either way.
 Exposure and validation always recompute.
 
-Each layer module writes its own tables through `tables.write`, one format
-for csv and json; every artifact, the manifest and report.json included, is
-written to a temporary file that then replaces it. A table written in one
---format removes the same table in the other (`_table_path`), so --out never
-holds a stale copy.
+Each layer module writes its own tables through `tables.write`, which picks
+csv or json from the file's suffix. Every artifact, the manifest and
+report.json included, is written to a temporary file that then replaces it.
+A table written in one --format removes the same table in the other
+(`_table_path`), so --out never holds a stale copy.
 
 Configuration comes from a plain key=value file (--config) overridden by
 flags. All randomness derives from the single --seed through named
@@ -36,6 +36,7 @@ import functools
 import hashlib
 import json
 import os
+import signal
 import struct
 import sys
 from dataclasses import dataclass, replace
@@ -50,7 +51,7 @@ from .ingest import Operation
 
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
 MAPPINGS = (fusion.MAPPING_CONTAINING, fusion.MAPPING_NEAREST_CENTROID)
-FORMATS = tables.FORMATS
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -430,8 +431,6 @@ class _Worker:
     def kill(self) -> None:
         """Stop and reap the worker, if it is still running."""
         if self.pid is not None:
-            import signal  # only here, so that validate does not load it
-
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
@@ -509,10 +508,10 @@ def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
     fmt = cfg.out_format
     for theta in matrices:
         tag = exposure.theta_tag(theta)
-        exposure.write_exposure_matrix(matrices[theta], _table_path(ws.out, f"exposure_{tag}", fmt), fmt)
-        exposure.write_gini_series(ginis[theta], _table_path(ws.out, f"gini_{tag}", fmt), fmt)
-    exposure.write_comparison(comparisons, _table_path(ws.out, "compare", fmt), fmt)
-    exposure.write_rotation(correlations, _table_path(ws.out, "rotation", fmt), fmt)
+        exposure.write_exposure_matrix(matrices[theta], _table_path(ws.out, f"exposure_{tag}", fmt))
+        exposure.write_gini_series(ginis[theta], _table_path(ws.out, f"gini_{tag}", fmt))
+    exposure.write_comparison(comparisons, _table_path(ws.out, "compare", fmt))
+    exposure.write_rotation(correlations, _table_path(ws.out, "rotation", fmt))
     return matrices, ginis, comparisons, correlations
 
 
@@ -533,10 +532,10 @@ def _stage_shap(ws: Workspace, cfg: RunConfig, table, models) -> dict[str, list[
             atts = shapley.shapley_batch(ensemble(), X, [f"{k[0]}|{tables.hour(k[1])}" for k in keys])
             summaries[name] = ranking = shapley.summary(atts)
             values, summary, *dependence = outputs[name]
-            shapley.write_shap_values(atts, values, fmt)
-            shapley.write_shap_summary(ranking, summary, fmt)
+            shapley.write_shap_values(atts, values)
+            shapley.write_shap_summary(ranking, summary)
             for feature, path in zip(MET_FEATURES, dependence):
-                shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path, fmt)
+                shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path)
         return summaries
 
     parts = (ws.out / "features.csv", *(ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)

@@ -212,27 +212,28 @@ def theta_tag(theta: float) -> str:
     return str(int(theta)) if float(theta).is_integer() else repr(float(theta)).replace(".", "p")
 
 
-def write_exposure_matrix(matrix: ExposureMatrix, path, fmt: str = "csv") -> None:
+def write_exposure_matrix(matrix: ExposureMatrix, path) -> None:
     """exposure_{theta}: one row per tract, one column per hour."""
     tables.write(path, ["tract_id", *map(tables.hour, matrix.hours)],
-                 ([tract, *cells] for tract, cells in zip(matrix.tract_ids, matrix.cells.tolist())), fmt)
+                 ([tract, *cells] for tract, cells in zip(matrix.tract_ids, matrix.cells.tolist())))
 
 
-def write_gini_series(series: GiniSeries, path, fmt: str = "csv") -> None:
+def write_gini_series(series: GiniSeries, path) -> None:
     """gini_{theta}; an undefined Gini is an empty field (null), never 0 or NaN."""
     tables.write(path, ("hour_start", "gini", "exposed_total", "mean_exposure"), (
         (tables.hour(e.hour), e.gini, e.exposed_total, e.mean_exposure) for e in series.entries
-    ), fmt)
+    ))
 
 
-def write_comparison(comparisons: dict[float, list[dict]], path, fmt: str = "csv") -> None:
-    """compare: per threshold and hour, the exposed totals on both bases and their difference."""
+def write_comparison(comparisons: dict[float, list[dict]], path) -> None:
+    """The theta column holds each threshold as a number (65.0), not as its
+    theta_tag: it is a value, not part of a file name."""
     tables.write(path, ("theta", "hour_start", "defacto_total", "residential_total", "delta"), (
         (theta, tables.hour(r["hour"]), r["defacto_total"], r["residential_total"], r["delta"])
         for theta in sorted(comparisons) for r in comparisons[theta]
-    ), fmt)
+    ))
 
 
-def write_rotation(correlations: dict[tuple[str, str], float], path, fmt: str = "csv") -> None:
+def write_rotation(correlations: dict[tuple[str, str], float], path) -> None:
     tables.write(path, ("nmt_a", "nmt_b", "block_mean_correlation"),
-                 ((a, b, r) for (a, b), r in sorted(correlations.items())), fmt)
+                 ((a, b, r) for (a, b), r in sorted(correlations.items())))

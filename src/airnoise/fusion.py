@@ -318,22 +318,22 @@ FUSED_HEADER = ("tract_id", "hour_start", "population_defacto", "population_resi
 FEATURES_HEADER = ("nmt_id", "hour_start", "operation", *(None,) * N_FEATURES, "takeoff_laeq", "landing_laeq")
 
 
-def write_fused(records: Iterable[TractHourRecord], path, fmt: str = "csv") -> None:
+def write_fused(records: Iterable[TractHourRecord], path) -> None:
     """fused.csv; an absent level is an empty field."""
     tables.write(path, FUSED_HEADER, (
         (r.tract_id, tables.hour(r.hour_start), r.population_defacto, r.population_resident, r.laeq, r.source_nmt)
         for r in records
-    ), fmt)
+    ))
 
 
-def write_features(table: FeatureTable, path, fmt: str = "csv") -> None:
+def write_features(table: FeatureTable, path) -> None:
     """features.csv; an absent target is an empty field."""
     header = (*FEATURES_HEADER[:3], *table.feature_names, *FEATURES_HEADER[-2:])
     tables.write(path, header, (
         (nmt, tables.hour(hour), op.value, *row, None if math.isnan(t) else t, None if math.isnan(l) else l)
         for (nmt, hour, op), row, t, l in zip(
             table.keys, table.matrix.tolist(), table.takeoff_laeq.tolist(), table.landing_laeq.tolist())
-    ), fmt)
+    ))
 
 
 def read_fused(path) -> list[TractHourRecord]:

@@ -402,40 +402,40 @@ def write_spl(samples: Iterable[SplSample], dest) -> None:
         ))) + "\n")
 
 
-def write_flights(flights: Iterable[FlightEvent], path, fmt: str = "csv") -> None:
+def write_flights(flights: Iterable[FlightEvent], path) -> None:
     tables.write(path, FLIGHTS_HEADER, (
         (f.timestamp.isoformat(timespec="seconds"), f.operation.value, f.runway,
          f.aircraft_type, f.engine_type, f.airline)
         for f in flights
-    ), fmt)
+    ))
 
 
-def write_weather(hours: Iterable[WeatherHour], path, fmt: str = "csv") -> None:
+def write_weather(hours: Iterable[WeatherHour], path) -> None:
     tables.write(path, WEATHER_HEADER, (
         (tables.hour(w.hour_start), float(w.temperature), float(w.wind_speed), float(w.wind_direction),
          int(w.cloud_cover))
         for w in hours
-    ), fmt)
+    ))
 
 
-def write_population(records: Iterable[PopulationRecord], path, fmt: str = "csv") -> None:
+def write_population(records: Iterable[PopulationRecord], path) -> None:
     tables.write(path, POPULATION_HEADER, (
         (p.tract_id, tables.hour(p.hour_start), float(p.defacto_count)) for p in records
-    ), fmt)
+    ))
 
 
-def write_tracts(tracts: Iterable[TractMeta], path, fmt: str = "csv") -> None:
+def write_tracts(tracts: Iterable[TractMeta], path) -> None:
     tables.write(path, TRACTS_HEADER, (
         (t.tract_id, t.district_id, float(t.centroid[0]), float(t.centroid[1]), float(t.resident_count),
          t.land_use.value)
         for t in tracts
-    ), fmt)
+    ))
 
 
-def write_nmts(nmts: Iterable[NmtMeta], path, fmt: str = "csv") -> None:
+def write_nmts(nmts: Iterable[NmtMeta], path) -> None:
     tables.write(path, NMTS_HEADER, (
         (n.nmt_id, n.tract_id, float(n.location[0]), float(n.location[1])) for n in nmts
-    ), fmt)
+    ))
 
 
 def write_bundle(bundle: Bundle, directory) -> None:

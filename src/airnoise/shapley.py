@@ -356,16 +356,16 @@ def dependence(attributions: Sequence[Attribution], feature: str) -> list[tuple[
 SUMMARY_HEADER = ("feature", "mean_abs_phi")
 
 
-def write_shap_values(attributions: Sequence[Attribution], path, fmt: str = "csv") -> None:
+def write_shap_values(attributions: Sequence[Attribution], path) -> None:
     """shap_values: per row, its key, phi0 and one phi per feature."""
     if not attributions:
         raise EmptyInput("no attributions")
     tables.write(path, ["key", "phi0", *(f"phi_{n}" for n in attributions[0].feature_names)],
-                 ([a.key, a.phi0, *a.phis.tolist()] for a in attributions), fmt)
+                 ([a.key, a.phi0, *a.phis.tolist()] for a in attributions))
 
 
-def write_shap_summary(ranking: Sequence[tuple[str, float]], path, fmt: str = "csv") -> None:
-    tables.write(path, SUMMARY_HEADER, ranking, fmt)
+def write_shap_summary(ranking: Sequence[tuple[str, float]], path) -> None:
+    tables.write(path, SUMMARY_HEADER, ranking)
 
 
 def read_shap_summary(path) -> list[tuple[str, float]]:
@@ -374,5 +374,5 @@ def read_shap_summary(path) -> list[tuple[str, float]]:
     return [(feature, float(value)) for feature, value in rows]
 
 
-def write_shap_dependence(pairs: Sequence[tuple[float, float]], feature: str, path, fmt: str = "csv") -> None:
-    tables.write(path, (feature, "phi"), pairs, fmt)
+def write_shap_dependence(pairs: Sequence[tuple[float, float]], feature: str, path) -> None:
+    tables.write(path, (feature, "phi"), pairs)

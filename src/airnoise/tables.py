@@ -1,7 +1,8 @@
 """The one format of every table the pipeline writes, and its reader.
 
 A table is a header and rows of plain Python values, with hours already
-formatted by ``hour``. ``write`` stores it in one of two formats:
+formatted by ``hour``. ``write`` stores it in the format that the suffix
+of its path names:
 
 - csv: the header line, then one line per row. A cell that is None is an
   empty field (an absent value is never 0 or NaN), a str is written as it is,
@@ -24,8 +25,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import MalformedRow
-
-FORMATS = ("csv", "json")
 
 
 def hour(ts: datetime) -> str:
@@ -55,13 +54,12 @@ def write_json(path, doc) -> None:
     write_text(path, json.dumps(doc, sort_keys=True, indent=1))
 
 
-def write(path, header: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> None:
-    """Write the table ``header`` + ``rows`` to ``path`` in ``fmt``."""
-    if fmt == "json":
+def write(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the table ``header`` + ``rows`` to ``path``, as json if its
+    suffix is ``.json`` and as csv otherwise, the same rule ``read`` uses."""
+    if Path(path).suffix == ".json":
         write_json(path, [dict(zip(header, row)) for row in rows])
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown table format {fmt!r}")
 
     def lines(fh):
         fh.write(",".join(header) + "\n")

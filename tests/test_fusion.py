@@ -277,18 +277,7 @@ def test_features_round_trip(tmp_path):
     assert np.array_equal(back.landing_laeq, table.landing_laeq, equal_nan=True)
 
 
-def _torn(text: str, cut: str) -> str:
-    """A whole table cut inside its last row, cut before its final line end,
-    or given a foreign header."""
-    if cut == "mid-row":
-        return text[:text.rindex(",") - 2]
-    if cut == "no-final-line-end":
-        return text[:-1]
-    return "other" + text[text.index(","):]
-
-
-@pytest.mark.parametrize("cut", ["mid-row", "no-final-line-end", "wrong-header"])
-def test_torn_fused_and_features_raise_malformed_row(tmp_path, cut):
+def test_torn_fused_and_features_raise_malformed_row(tmp_path, torn):
     from airnoise.errors import MalformedRow
     from airnoise.fusion import read_features, read_fused, write_features, write_fused
 
@@ -305,6 +294,6 @@ def test_torn_fused_and_features_raise_malformed_row(tmp_path, cut):
     for write, read, value in ((write_fused, read_fused, records), (write_features, read_features, table)):
         path = tmp_path / "table.csv"
         write(value, path)
-        path.write_text(_torn(path.read_text(encoding="utf-8"), cut), encoding="utf-8")
+        path.write_text(torn(path.read_text(encoding="utf-8")), encoding="utf-8")
         with pytest.raises(MalformedRow):
             read(path)
