@@ -2,8 +2,15 @@
 
 Every subcommand reads declared inputs, writes declared outputs under --out,
 and prints a one-line summary. Re-running with unchanged inputs and seed
-produces byte-identical outputs. The stages laeq, fused, features, models and
-shap are cached: a stage whose inputs and outputs still match its entry in the
+produces byte-identical outputs.
+
+Six subcommands (laeq, fuse, exposure, train, explain, report) are one `Run`,
+whose inputs and stages are cached properties. A subcommand reads the stage it
+wants, and a stage reads the inputs and stages it needs, so stages run in the
+order they are first read, each input is parsed once, and each stage runs or
+is read back at most once per command. The study window is pinned first, for
+every command but laeq. The stages laeq, fused, features, models and shap are
+cached: a stage whose inputs and outputs still match its entry in the
 content-hash manifest (`manifest.json` under --out) reads its outputs back,
 and any other stage recomputes them, with identical results either way.
 Exposure and validation always recompute.
@@ -12,7 +19,8 @@ Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
 report.json included, is written to a temporary file that then replaces it.
 A table written in one --format removes the same table in the other
-(`_table_path`), so --out never holds a stale copy.
+(`_table_path`), and the exposure stage removes the tables of thresholds no
+longer asked for, so --out never holds a stale copy.
 
 Configuration comes from a plain key=value file (--config) overridden by
 flags. All randomness derives from the single --seed through named
@@ -149,35 +157,23 @@ def _convert(conv, value: str, where: str):
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, overridden by every flag given. A flag's dest
+    is its key's RunConfig field; a string value goes through the key's
+    converter."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config_file(Path(args.config)))
     overrides = {}
-    if getattr(args, "in_dir", None):
-        overrides["in_dir"] = Path(args.in_dir)
-    if getattr(args, "out_dir", None):
-        overrides["out_dir"] = Path(args.out_dir)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "days", None) is not None:
-        overrides["days"] = args.days
-    if getattr(args, "theta", None):
-        overrides["thresholds"] = tuple(sorted(set(args.theta)))
-    if getattr(args, "retention_dba", None) is not None:
-        overrides["retention_dba"] = args.retention_dba
-    if getattr(args, "window_start", None):
-        overrides["window_start"] = _convert(datetime.fromisoformat, args.window_start, "--window-start")
-    if getattr(args, "window_end", None):
-        overrides["window_end"] = _convert(datetime.fromisoformat, args.window_end, "--window-end")
-    if getattr(args, "mapping", None):
-        overrides["mapping"] = args.mapping
-    if getattr(args, "out_format", None):
-        overrides["out_format"] = args.out_format
+    for key, (attr, conv) in CONFIG_KEYS.items():
+        value = getattr(args, attr, None)
+        if isinstance(value, str):
+            value = _convert(conv, value, "--" + key.replace("_", "-"))
+        if value is not None:
+            overrides[attr] = value
     cfg = replace(cfg, **overrides)
     if not cfg.thresholds:
         raise InvalidConfig("at least one --theta is required")
-    cfg = replace(cfg, thresholds=tuple(sorted(set(cfg.thresholds))))
-    return cfg
+    return replace(cfg, thresholds=tuple(sorted(set(cfg.thresholds))))
 
 
 # ---------------------------------------------------------------------------
@@ -210,43 +206,26 @@ class Workspace:
             h.update(b"\x00")
         return h.hexdigest()
 
-    def fresh(self, stage: str, digest: str, outputs: list[Path]) -> bool:
-        """Whether the stage last ran on ``digest`` and each output still holds
-        the bytes it wrote then."""
-        entry = self.manifest.get(stage)
-        if not isinstance(entry, dict) or entry.get("digest") != digest:
-            return False
-        recorded = entry.get("outputs")
-        return isinstance(recorded, dict) and all(
-            p.exists() and recorded.get(p.name) == _file_sha256(p) for p in outputs)
-
-    def record(self, stage: str, digest: str, outputs: list[Path]) -> None:
-        self.manifest[stage] = {"digest": digest, "outputs": {p.name: _file_sha256(p) for p in outputs}}
-        self._save()
-
-    def forget(self, stage: str) -> None:
-        """Drop a stage's entry before its outputs are rewritten, so that an
-        interrupted rewrite is never taken for fresh."""
-        if self.manifest.pop(stage, None) is not None:
-            self._save()
-
-    def _save(self) -> None:
-        tables.write_json(self.manifest_path, self.manifest)
-
     def stage(self, name: str, parts, outputs: list[Path], load, compute):
         """The result of a cached stage. If the stage last ran on the digest of
-        ``parts`` and its outputs are unchanged since, that is ``load()``.
-        Otherwise ``compute()`` writes the outputs and returns the result, and
-        the run is recorded."""
+        ``parts`` and each output still holds the bytes it wrote then, that is
+        ``load()``. Otherwise ``compute()`` writes the outputs and returns the
+        result, and the run is recorded."""
         digest = self.digest(*parts)
-        if self.fresh(name, digest, outputs):
+        entry = self.manifest.get(name)
+        recorded = entry.get("outputs") if isinstance(entry, dict) and entry.get("digest") == digest else None
+        if isinstance(recorded, dict) and all(p.exists() and recorded.get(p.name) == _file_sha256(p) for p in outputs):
             try:
                 return load()
             except (AirnoiseError, ValueError):
                 pass  # a torn artifact is a miss
-        self.forget(name)
+        # the entry goes before the outputs are rewritten, so that an
+        # interrupted rewrite is never taken for fresh
+        if self.manifest.pop(name, None) is not None:
+            tables.write_json(self.manifest_path, self.manifest)
         result = compute()
-        self.record(name, digest, outputs)
+        self.manifest[name] = {"digest": digest, "outputs": {p.name: _file_sha256(p) for p in outputs}}
+        tables.write_json(self.manifest_path, self.manifest)
         return result
 
 
@@ -266,62 +245,6 @@ def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime
     if start >= end:
         raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
     return (start, end)
-
-
-def _with_window(cfg: RunConfig) -> RunConfig:
-    """Pin the study window before any stage digest is computed, so an
-    inferred window is part of every cache key."""
-    given = cfg.window_start is not None and cfg.window_end is not None
-    weather = [] if given else ingest.parse_weather(cfg.in_dir / "weather.csv")
-    window = _window(cfg, weather)
-    return replace(cfg, window_start=window[0], window_end=window[1])
-
-
-def _stage_laeq(ws: Workspace, cfg: RunConfig) -> list[acoustics.HourlyLaeq]:
-    out = ws.out / "hourly_laeq.csv"
-
-    def compute():
-        series = acoustics.hourly_series(ingest.parse_spl(cfg.in_dir / "spl.csv"), cfg.retention_dba)
-        acoustics.write_hourly_laeq(series, out)
-        return series
-
-    return ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), [out],
-                    lambda: acoustics.read_hourly_laeq(out), compute)
-
-
-def _stage_fused(ws: Workspace, cfg: RunConfig, series) -> list[fusion.TractHourRecord]:
-    out = ws.out / "fused.csv"
-
-    def compute():
-        tracts = ingest.parse_tracts(cfg.in_dir / "tracts.csv")
-        nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
-        population = ingest.parse_population(cfg.in_dir / "population.csv")
-        hours = ingest.window_hours((cfg.window_start, cfg.window_end))
-        mapping = fusion.map_tracts(nmts, tracts, cfg.mapping)
-        records = fusion.fuse(population, series, mapping, tracts, hours)
-        fusion.write_fused(records, out)
-        return records
-
-    parts = (ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv", cfg.in_dir / "tracts.csv",
-             cfg.in_dir / "nmts.csv", cfg.mapping, cfg.window_start, cfg.window_end)
-    return ws.stage("fused", parts, [out], lambda: fusion.read_fused(out), compute)
-
-
-def _stage_features(ws: Workspace, cfg: RunConfig, series) -> fusion.FeatureTable:
-    out = ws.out / "features.csv"
-
-    def compute():
-        flights = ingest.parse_flights(cfg.in_dir / "flights.csv")
-        weather = ingest.parse_weather(cfg.in_dir / "weather.csv")
-        nmts = ingest.parse_nmts(cfg.in_dir / "nmts.csv")
-        hours = ingest.window_hours((cfg.window_start, cfg.window_end))
-        table = fusion.build_features(flights, weather, nmts, series, hours)
-        fusion.write_features(table, out)
-        return table
-
-    parts = (ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv", cfg.in_dir / "weather.csv",
-             cfg.in_dir / "nmts.csv", cfg.window_start, cfg.window_end)
-    return ws.stage("features", parts, [out], lambda: fusion.read_features(out), compute)
 
 
 MODEL_TARGETS = {
@@ -446,45 +369,6 @@ def _saved_model(text: str):
     return doc.get("history", []), len(doc["trees"]), functools.cache(lambda: gbm.from_json(text)[0])
 
 
-def _stage_models(ws: Workspace, cfg: RunConfig, table) -> dict[str, tuple]:
-    """Per model: its history, the number of trees it kept, and a call that
-    returns the ensemble, which decodes a cached model's trees only then."""
-    from . import gbm
-
-    outputs = {name: ws.out / f"model_{name}.json" for name in MODEL_TARGETS}
-
-    def compute():
-        train_part, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
-        config = cfg.train_config()
-
-        def fit(name):
-            X_train, y_train, _ = _model_rows(train_part, name)
-            X_test, y_test, _ = _model_rows(test_part, name)
-            ens, history = gbm.train(X_train, y_train, X_test, y_test, config, table.feature_names)
-            return ens, history, gbm.to_json(ens, config, history)
-
-        # the fits share no state: the last one runs beside the others
-        *names, last = MODEL_TARGETS
-        worker = _Worker(f"{last} model", lambda: fit(last)[2])
-        try:
-            fitted = {name: fit(name) for name in names}
-            text = worker.result()
-        except BaseException:
-            worker.kill()
-            raise
-        ens, _, history = gbm.from_json(text)
-        fitted[last] = (ens, history, text)
-        for name, (_, _, text) in fitted.items():
-            tables.write_text(outputs[name], text)
-        return {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history, _) in fitted.items()}
-
-    def load():
-        return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
-
-    parts = (ws.out / "features.csv", vars(cfg.train_config()), cfg.seed)
-    return ws.stage("models", parts, list(outputs.values()), load, compute)
-
-
 def _table_path(out: Path, stem: str, fmt: str) -> Path:
     """Where table ``stem`` goes in ``fmt``. The same table in the other
     format, left by an earlier run, is removed, since it is now stale."""
@@ -494,101 +378,216 @@ def _table_path(out: Path, stem: str, fmt: str) -> Path:
     return out / f"{stem}.{fmt}"
 
 
-def _stage_exposure(ws: Workspace, cfg: RunConfig, records, series):
-    """Exposure matrices, Gini series, basis comparison and rotation tables."""
-    from . import exposure
-
-    matrices = exposure.exposure_matrices(records, cfg.thresholds)
-    residential = exposure.exposure_matrices(records, cfg.thresholds, exposure.BASIS_RESIDENTIAL)
-    ginis = {t: exposure.gini_series(m) for t, m in matrices.items()}
-    comparisons = {t: exposure.compare_bases(matrices[t], residential[t]) for t in matrices}
-    start, end = cfg.window_start, cfg.window_end
-    correlations = exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])
-
-    fmt = cfg.out_format
-    for theta in matrices:
-        tag = exposure.theta_tag(theta)
-        exposure.write_exposure_matrix(matrices[theta], _table_path(ws.out, f"exposure_{tag}", fmt))
-        exposure.write_gini_series(ginis[theta], _table_path(ws.out, f"gini_{tag}", fmt))
-    exposure.write_comparison(comparisons, _table_path(ws.out, "compare", fmt))
-    exposure.write_rotation(correlations, _table_path(ws.out, "rotation", fmt))
-    return matrices, ginis, comparisons, correlations
+def _parsed(stem: str) -> functools.cached_property:
+    """A run's input ``<stem>.csv``, parsed once by ``ingest.parse_<stem>``."""
+    return functools.cached_property(lambda run: getattr(ingest, f"parse_{stem}")(run.cfg.in_dir / f"{stem}.csv"))
 
 
-def _stage_shap(ws: Workspace, cfg: RunConfig, table, models) -> dict[str, list[tuple[str, float]]]:
-    """Attribution exports per model over its held-out rows; the rankings."""
-    from . import gbm, shapley
+class Run:
+    """One subcommand's inputs and stages, each a cached property (see the
+    module docstring). A cached stage reads the stages it depends on before it
+    takes its digest, which covers the files they wrote. ``laeq`` needs no
+    window: it passes ``pin_window=False`` and never reads weather.csv."""
 
-    fmt = cfg.out_format
-    stems = {name: [f"shap_values_{name}", f"shap_summary_{name}",
-                    *(f"shap_dependence_{name}_{feature}" for feature in MET_FEATURES)] for name in models}
-    outputs = {name: [_table_path(ws.out, stem, fmt) for stem in group] for name, group in stems.items()}
+    def __init__(self, args, pin_window: bool = True):
+        self.cfg = resolve_config(args)
+        if pin_window:  # before any stage digest, so that an inferred window is part of every cache key
+            given = self.cfg.window_start is not None and self.cfg.window_end is not None
+            start, end = _window(self.cfg, [] if given else self.weather)
+            self.cfg = replace(self.cfg, window_start=start, window_end=end)
+        self.ws = Workspace(self.cfg.out_dir)
 
-    def compute():
-        _, test_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, cfg.seed)
-        summaries = {}
-        for name, (_, _, ensemble) in models.items():
-            X, _, keys = _model_rows(test_part, name)
-            atts = shapley.shapley_batch(ensemble(), X, [f"{k[0]}|{tables.hour(k[1])}" for k in keys])
-            summaries[name] = ranking = shapley.summary(atts)
-            values, summary, *dependence = outputs[name]
-            shapley.write_shap_values(atts, values)
-            shapley.write_shap_summary(ranking, summary)
-            for feature, path in zip(MET_FEATURES, dependence):
-                shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path)
-        return summaries
+    weather = _parsed("weather")
+    tracts = _parsed("tracts")
+    nmts = _parsed("nmts")
+    population = _parsed("population")
 
-    parts = (ws.out / "features.csv", *(ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)
-    return ws.stage("shap", parts, [p for group in outputs.values() for p in group],
-                    lambda: {name: shapley.read_shap_summary(group[1]) for name, group in outputs.items()}, compute)
+    @functools.cached_property
+    def hours(self) -> list[datetime]:
+        return ingest.window_hours((self.cfg.window_start, self.cfg.window_end))
 
+    @functools.cached_property
+    def split(self) -> tuple[fusion.FeatureTable, fusion.FeatureTable]:
+        """The feature table's train and test parts."""
+        from . import gbm
 
-def _stage_validation(ws: Workspace, cfg: RunConfig, population, tracts):
-    """Per-tract diurnal labels and district-pair agreement statistics, also
-    written to validation.csv.
+        return gbm.split_data(self.table, gbm.TrainConfig().split_fraction, self.cfg.seed)
 
-    Works from the raw population stream so unmapped tracts are covered too.
-    """
-    from . import validation
+    @functools.cached_property
+    def series(self) -> list[acoustics.HourlyLaeq]:
+        cfg, out = self.cfg, self.ws.out / "hourly_laeq.csv"
 
-    district_of = {t.tract_id: t.district_id for t in tracts}
-    by_tract: dict[str, dict[datetime, float]] = {}
-    for p in population:
-        by_tract.setdefault(p.tract_id, {})[p.hour_start] = p.defacto_count
+        def compute():
+            series = acoustics.hourly_series(ingest.parse_spl(cfg.in_dir / "spl.csv"), cfg.retention_dba)
+            acoustics.write_hourly_laeq(series, out)
+            return series
 
-    diurnal = {}
-    tract_series = []
-    for tract in sorted(by_tract):
-        points = sorted(by_tract[tract].items())
-        tract_series.append(validation.HourlySeries(key=tract, points=points))
-        profile = []
-        for h in range(24):
-            vals = [v for hs, v in points if hs.hour == h]
-            profile.append(float(np.mean(vals)) if vals else 0.0)
-        diurnal[tract] = validation.classify_diurnal(profile).value
+        return self.ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), [out],
+                             lambda: acoustics.read_hourly_laeq(out), compute)
 
-    district_series = validation.aggregate_to_district(
-        tract_series, {t: district_of[t] for t in by_tract}
-    )
-    pairs = []
-    for i, a in enumerate(district_series):
-        for b in district_series[i + 1:]:
-            va, vb = a.values(), b.values()
+    @functools.cached_property
+    def records(self) -> list[fusion.TractHourRecord]:
+        cfg, series, out = self.cfg, self.series, self.ws.out / "fused.csv"
+
+        def compute():
+            tracts = self.tracts
+            mapping = fusion.map_tracts(self.nmts, tracts, cfg.mapping)
+            records = fusion.fuse(self.population, series, mapping, tracts, self.hours)
+            fusion.write_fused(records, out)
+            return records
+
+        parts = (self.ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv", cfg.in_dir / "tracts.csv",
+                 cfg.in_dir / "nmts.csv", cfg.mapping, cfg.window_start, cfg.window_end)
+        return self.ws.stage("fused", parts, [out], lambda: fusion.read_fused(out), compute)
+
+    @functools.cached_property
+    def table(self) -> fusion.FeatureTable:
+        cfg, series, out = self.cfg, self.series, self.ws.out / "features.csv"
+
+        def compute():
+            flights = ingest.parse_flights(cfg.in_dir / "flights.csv")
+            table = fusion.build_features(flights, self.weather, self.nmts, series, self.hours)
+            fusion.write_features(table, out)
+            return table
+
+        parts = (self.ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv", cfg.in_dir / "weather.csv",
+                 cfg.in_dir / "nmts.csv", cfg.window_start, cfg.window_end)
+        return self.ws.stage("features", parts, [out], lambda: fusion.read_features(out), compute)
+
+    @functools.cached_property
+    def models(self) -> dict[str, tuple]:
+        """Per model: its history, the number of trees it kept, and a call that
+        returns the ensemble, which decodes a cached model's trees only then."""
+        from . import gbm
+
+        cfg, table = self.cfg, self.table
+        outputs = {name: self.ws.out / f"model_{name}.json" for name in MODEL_TARGETS}
+
+        def compute():
+            train_part, test_part = self.split
+            config = cfg.train_config()
+
+            def fit(name):
+                X_train, y_train, _ = _model_rows(train_part, name)
+                X_test, y_test, _ = _model_rows(test_part, name)
+                ens, history = gbm.train(X_train, y_train, X_test, y_test, config, table.feature_names)
+                return ens, history, gbm.to_json(ens, config, history)
+
+            # the fits share no state: the last one runs beside the others
+            *names, last = MODEL_TARGETS
+            worker = _Worker(f"{last} model", lambda: fit(last)[2])
             try:
-                r2_abs = validation.r_squared(va, vb)
-            except AirnoiseError:
-                r2_abs = None
+                fitted = {name: fit(name) for name in names}
+                text = worker.result()
+            except BaseException:
+                worker.kill()
+                raise
+            ens, _, history = gbm.from_json(text)
+            fitted[last] = (ens, history, text)
+            for name, (_, _, text) in fitted.items():
+                tables.write_text(outputs[name], text)
+            return {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history, _) in fitted.items()}
+
+        def load():
+            return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
+
+        parts = (self.ws.out / "features.csv", vars(cfg.train_config()), cfg.seed)
+        return self.ws.stage("models", parts, list(outputs.values()), load, compute)
+
+    @functools.cached_property
+    def exposure(self):
+        """Exposure matrices, Gini series, basis comparison and rotation tables."""
+        from . import exposure
+
+        cfg, records, series, out = self.cfg, self.records, self.series, self.ws.out
+        matrices = exposure.exposure_matrices(records, cfg.thresholds)
+        residential = exposure.exposure_matrices(records, cfg.thresholds, exposure.BASIS_RESIDENTIAL)
+        ginis = {t: exposure.gini_series(m) for t, m in matrices.items()}
+        comparisons = {t: exposure.compare_bases(matrices[t], residential[t]) for t in matrices}
+        start, end = cfg.window_start, cfg.window_end
+        correlations = exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])
+
+        tags = {exposure.theta_tag(theta) for theta in matrices}
+        for path in [p for kind in ("exposure", "gini") for suffix in FORMATS for p in out.glob(f"{kind}_*.{suffix}")]:
+            if path.stem.partition("_")[2] not in tags:
+                path.unlink()  # the table of a threshold no longer asked for is stale
+        fmt = cfg.out_format
+        for theta in matrices:
+            tag = exposure.theta_tag(theta)
+            exposure.write_exposure_matrix(matrices[theta], _table_path(out, f"exposure_{tag}", fmt))
+            exposure.write_gini_series(ginis[theta], _table_path(out, f"gini_{tag}", fmt))
+        exposure.write_comparison(comparisons, _table_path(out, "compare", fmt))
+        exposure.write_rotation(correlations, _table_path(out, "rotation", fmt))
+        return matrices, ginis, comparisons, correlations
+
+    @functools.cached_property
+    def shap(self) -> dict[str, list[tuple[str, float]]]:
+        """Attribution exports per model over its held-out rows; the rankings."""
+        from . import shapley
+
+        cfg, table, models, fmt = self.cfg, self.table, self.models, self.cfg.out_format
+        stems = {name: [f"shap_values_{name}", f"shap_summary_{name}",
+                        *(f"shap_dependence_{name}_{feature}" for feature in MET_FEATURES)] for name in models}
+        outputs = {name: [_table_path(self.ws.out, stem, fmt) for stem in group] for name, group in stems.items()}
+
+        def compute():
+            _, test_part = self.split
+            summaries = {}
+            for name, (_, _, ensemble) in models.items():
+                X, _, keys = _model_rows(test_part, name)
+                atts = shapley.shapley_batch(ensemble(), X, [f"{k[0]}|{tables.hour(k[1])}" for k in keys])
+                summaries[name] = ranking = shapley.summary(atts)
+                values, summary, *dependence = outputs[name]
+                shapley.write_shap_values(atts, values)
+                shapley.write_shap_summary(ranking, summary)
+                for feature, path in zip(MET_FEATURES, dependence):
+                    shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path)
+            return summaries
+
+        parts = (self.ws.out / "features.csv", *(self.ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)
+        return self.ws.stage("shap", parts, [p for group in outputs.values() for p in group],
+                             lambda: {name: shapley.read_shap_summary(group[1]) for name, group in outputs.items()},
+                             compute)
+
+    @functools.cached_property
+    def validation(self):
+        """Per-tract diurnal labels and district-pair agreement statistics, also
+        written to validation.csv.
+
+        Works from the raw population stream so unmapped tracts are covered too.
+        """
+        from . import validation
+
+        district_of = {t.tract_id: t.district_id for t in self.tracts}
+        by_tract: dict[str, dict[datetime, float]] = {}
+        for p in self.population:
+            by_tract.setdefault(p.tract_id, {})[p.hour_start] = p.defacto_count
+
+        diurnal = {}
+        tract_series = []
+        for tract in sorted(by_tract):
+            points = sorted(by_tract[tract].items())
+            tract_series.append(validation.HourlySeries(key=tract, points=points))
+            by_hour = [[v for hs, v in points if hs.hour == h] for h in range(24)]
+            profile = [float(np.mean(vals)) if vals else 0.0 for vals in by_hour]
+            diurnal[tract] = validation.classify_diurnal(profile).value
+
+        def r2(a, b, transform=lambda values: values):
+            """R^2 of two district series after ``transform``; None where it is undefined."""
             try:
-                r2_pct = validation.r_squared(validation.pct_change(va), validation.pct_change(vb))
+                return validation.r_squared(transform(a.values()), transform(b.values()))
             except AirnoiseError:
-                r2_pct = None
-            pairs.append({"a": a.key, "b": b.key, "r2_absolute": r2_abs, "r2_pct_change": r2_pct})
-    rows = [("diurnal", tract, label) for tract, label in sorted(diurnal.items())]
-    for pair in pairs:
-        key = f"{pair['a']}|{pair['b']}"
-        rows += [("r2_absolute", key, pair["r2_absolute"]), ("r2_pct_change", key, pair["r2_pct_change"])]
-    tables.write(ws.out / "validation.csv", ("kind", "key", "value"), rows)
-    return {"diurnal": diurnal, "district_r2": pairs}
+                return None
+
+        district_series = validation.aggregate_to_district(tract_series, {t: district_of[t] for t in by_tract})
+        pairs = [{"a": a.key, "b": b.key, "r2_absolute": r2(a, b), "r2_pct_change": r2(a, b, validation.pct_change)}
+                 for i, a in enumerate(district_series) for b in district_series[i + 1:]]
+        rows = [("diurnal", tract, label) for tract, label in sorted(diurnal.items())]
+        for pair in pairs:
+            key = f"{pair['a']}|{pair['b']}"
+            rows += [("r2_absolute", key, pair["r2_absolute"]), ("r2_pct_change", key, pair["r2_pct_change"])]
+        tables.write(self.ws.out / "validation.csv", ("kind", "key", "value"), rows)
+        return {"diurnal": diurnal, "district_r2": pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -621,30 +620,21 @@ def cmd_validate(args) -> int:
 
 
 def cmd_laeq(args) -> int:
-    cfg = resolve_config(args)
-    ws = Workspace(cfg.out_dir)
-    series = _stage_laeq(ws, cfg)
+    series = Run(args, pin_window=False).series
     measured = sum(1 for h in series if h.laeq is not None)
     print(f"laeq: {len(series)} terminal-hours, {measured} with a measured level")
     return 0
 
 
 def cmd_fuse(args) -> int:
-    cfg = _with_window(resolve_config(args))
-    ws = Workspace(cfg.out_dir)
-    series = _stage_laeq(ws, cfg)
-    records = _stage_fused(ws, cfg, series)
-    table = _stage_features(ws, cfg, series)
+    run = Run(args)
+    records, table = run.records, run.table
     print(f"fuse: {len(records)} tract-hours, feature table {table.matrix.shape[0]}x{table.matrix.shape[1]}")
     return 0
 
 
 def cmd_exposure(args) -> int:
-    cfg = _with_window(resolve_config(args))
-    ws = Workspace(cfg.out_dir)
-    series = _stage_laeq(ws, cfg)
-    records = _stage_fused(ws, cfg, series)
-    matrices, _, _, correlations = _stage_exposure(ws, cfg, records, series)
+    matrices, _, _, correlations = Run(args).exposure
     totals = {t: float(m.cells.sum()) for t, m in matrices.items()}
     print(f"exposure: thresholds {list(matrices)} person-hour totals {totals}, "
           f"{len(correlations)} terminal pairs")
@@ -652,13 +642,8 @@ def cmd_exposure(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _with_window(resolve_config(args))
-    ws = Workspace(cfg.out_dir)
-    series = _stage_laeq(ws, cfg)
-    table = _stage_features(ws, cfg, series)
-    models = _stage_models(ws, cfg, table)
     parts = []
-    for name, (history, kept, _) in models.items():
+    for name, (history, kept, _) in Run(args).models.items():
         at = history[kept - 1] if kept else {"valid_mae": float("nan")}
         parts.append(f"{name}: {kept} trees, test mae {at['valid_mae']:.3f}")
     print("train: " + "; ".join(parts))
@@ -666,13 +651,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = _with_window(resolve_config(args))
-    ws = Workspace(cfg.out_dir)
-    series = _stage_laeq(ws, cfg)
-    table = _stage_features(ws, cfg, series)
-    models = _stage_models(ws, cfg, table)
-    summaries = _stage_shap(ws, cfg, table, models)
-    tops = {name: ranking[0][0] for name, ranking in summaries.items()}
+    tops = {name: ranking[0][0] for name, ranking in Run(args).shap.items()}
     print(f"explain: top features {tops}")
     return 0
 
@@ -680,22 +659,15 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     from . import exposure
 
-    cfg = _with_window(resolve_config(args))
-    ws = Workspace(cfg.out_dir)
-    window = (cfg.window_start, cfg.window_end)
-
-    series = _stage_laeq(ws, cfg)
-    records = _stage_fused(ws, cfg, series)
-    table = _stage_features(ws, cfg, series)
-    models = _stage_models(ws, cfg, table)
-    matrices, ginis, comparisons, correlations = _stage_exposure(ws, cfg, records, series)
-    summaries = _stage_shap(ws, cfg, table, models)
-    tracts = ingest.parse_tracts(cfg.in_dir / "tracts.csv")
-    population = ingest.parse_population(cfg.in_dir / "population.csv")
-    validation_result = _stage_validation(ws, cfg, population, tracts)
+    run = Run(args)
+    cfg = run.cfg
+    # the stages run in this order: laeq, fused, features, models, exposure, shap, validation
+    records, models = run.records, run.models
+    matrices, ginis, comparisons, correlations = run.exposure
+    summaries = run.shap
     report = {
         "meta": {
-            "window": {"start": tables.hour(window[0]), "end": tables.hour(window[1])},
+            "window": {"start": tables.hour(cfg.window_start), "end": tables.hour(cfg.window_end)},
             "thresholds": list(cfg.thresholds),
             "retention_dba": cfg.retention_dba,
             "mapping": cfg.mapping,
@@ -725,10 +697,7 @@ def cmd_report(args) -> int:
             ]
             for t, rows in comparisons.items()
         },
-        "rotation": [
-            {"nmt_a": a, "nmt_b": b, "correlation": r}
-            for (a, b), r in sorted(correlations.items())
-        ],
+        "rotation": [{"nmt_a": a, "nmt_b": b, "correlation": r} for (a, b), r in sorted(correlations.items())],
         "model": {
             name: {
                 "rounds_run": len(history),
@@ -740,14 +709,11 @@ def cmd_report(args) -> int:
             }
             for name, (history, kept, _) in models.items()
         },
-        "shap": {
-            name: {"summary": [[f, v] for f, v in ranking]}
-            for name, ranking in summaries.items()
-        },
-        "validation": validation_result,
+        "shap": {name: {"summary": [[f, v] for f, v in ranking]} for name, ranking in summaries.items()},
+        "validation": run.validation,
     }
-    tables.write_json(ws.out / "report.json", report)
-    print(f"report: wrote {ws.out / 'report.json'} "
+    tables.write_json(run.ws.out / "report.json", report)
+    print(f"report: wrote {run.ws.out / 'report.json'} "
           f"({len(matrices)} thresholds, {len(correlations)} terminal pairs)")
     return 0
 
@@ -767,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--config", help="key=value configuration file (flags win)")
         p.add_argument("--seed", type=int, help="run seed; all randomness derives from it")
-        p.add_argument("--theta", type=float, action="append",
+        p.add_argument("--theta", dest="thresholds", type=float, action="append",
                        help="exposure threshold in dBA (repeatable)")
         p.add_argument("--retention-dba", dest="retention_dba", type=float,
                        help="sample retention threshold in dBA")

@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import airnoise
-from airnoise import cli, gbm, shapley
+from airnoise import cli, gbm, ingest, shapley
 from airnoise.cli import build_parser, load_config_file, main, resolve_config
 from airnoise.errors import InvalidConfig, NonFiniteTarget
 
@@ -119,6 +120,24 @@ def test_exposure_json_format(small_bundle, tmp_path):
     assert isinstance(doc, list) and "gini" in doc[0]
     nulls = [e for e in doc if e["gini"] is None]
     assert nulls
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exposure_removes_tables_of_dropped_thresholds(small_bundle, tmp_path, fmt):
+    out = tmp_path / "out"
+    args = ["exposure", "--in", str(small_bundle), "--out", str(out)]
+    assert main([*args, "--format", fmt]) == 0  # thresholds 65 and 70
+    assert main([*args, "--theta", "60", "--theta", "70"]) == 0
+    written = sorted(p.name for prefix in ("exposure_", "gini_") for p in out.glob(f"{prefix}*"))
+    assert written == ["exposure_60.csv", "exposure_70.csv", "gini_60.csv", "gini_70.csv"]
+
+
+def test_laeq_reads_no_weather(small_bundle, tmp_path):
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    (bundle / "weather.csv").unlink()
+    out = tmp_path / "out"
+    assert main(["laeq", "--in", str(bundle), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["hourly_laeq.csv", "manifest.json"]
 
 
 def test_window_flags_respected(small_bundle, tmp_path):
@@ -313,6 +332,38 @@ def test_malformed_manifest_is_a_miss(small_bundle, tmp_path, manifest):
     assert laeq.stat().st_ino != inode  # recomputed and written again
     assert isinstance(json.loads(path.read_text())["laeq"]["outputs"], dict)
     assert sorted(p.name for p in out.iterdir()) == ["hourly_laeq.csv", "manifest.json"]
+
+
+# layer functions that a run calls once at most, each through its module
+ONCE = {ingest: ("parse_spl", "parse_flights", "parse_weather", "parse_population", "parse_tracts",
+                 "parse_nmts", "window_hours"), gbm: ("split_data",)}
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """name -> the number of calls of each function in ONCE."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for module, names in ONCE.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_report_parses_each_input_once(small_bundle, tmp_path, layer_calls):
+    out = tmp_path / "out"
+    assert _report(small_bundle, out) == 0
+    assert layer_calls == {name: 1 for names in ONCE.values() for name in names}
+    layer_calls.clear()
+    assert _report(small_bundle, out) == 0  # warm: the laeq and features stages are read back
+    assert layer_calls["parse_spl"] == layer_calls["parse_flights"] == 0
+    assert max(layer_calls.values()) == 1
 
 
 # --- the Shapley stage's cache ------------------------------------------------
