@@ -4,8 +4,8 @@
 
 The bundle is the 2-day seed-101 scenario at the real 1200 samples per
 terminal-hour, the shape of the benchmark's `dense` workload: `synth`
-writing it, then `parse_spl` and `hourly_series` reading it back as the
-laeq stage of `airnoise report` does.
+generating it, then writing it, then `parse_spl` and `hourly_series`
+reading it back as the laeq stage of `airnoise report` does.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ def bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("dense")
     synth.write_scenario(DENSE, out)
     return out
+
+
+def test_generate(benchmark):
+    generated, _ = benchmark(synth.generate, DENSE)
+    assert len(generated.spl) == ROWS
 
 
 def test_write_scenario(benchmark, tmp_path):

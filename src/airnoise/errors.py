@@ -79,10 +79,6 @@ class GridMismatch(AirnoiseError):
     pass
 
 
-class InsufficientData(AirnoiseError):
-    pass
-
-
 # --- gbm -------------------------------------------------------------------
 
 class TooFewRows(AirnoiseError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tables
 from .acoustics import HourlyLaeq
-from .errors import GridMismatch, InsufficientData, NegativeValue
+from .errors import GridMismatch, NegativeValue
 from .fusion import TractHourRecord
 
 DEFAULT_THRESHOLDS = (65.0, 70.0)
@@ -168,13 +168,15 @@ def _block_id(hour: datetime, block_hours: int) -> tuple[date, int]:
 def rotation_contrast(
     hourly: Sequence[HourlyLaeq],
     block_hours: int = 3,
-) -> dict[tuple[str, str], float]:
+) -> dict[tuple[str, str], float | None]:
     """Pearson correlation of block-mean LAeq between every terminal pair.
 
     Blocks align with the calendar day (hour 0 starts block 0), matching a
     rotation schedule that alternates runway roles every ``block_hours``.
     Strongly negative correlation between two terminals means one side's loud
     blocks are the other's relief. Pairs are keyed (smaller id, larger id).
+    A pair with fewer than 2 shared blocks, or whose block means are constant
+    on either side, has no correlation: its value is None.
     """
     if block_hours <= 0 or 24 % block_hours != 0:
         raise ValueError("block_hours must divide 24")
@@ -190,18 +192,18 @@ def rotation_contrast(
     }
 
     nmts = sorted(block_means)
-    out: dict[tuple[str, str], float] = {}
+    out: dict[tuple[str, str], float | None] = {}
     for i, a in enumerate(nmts):
         for b in nmts[i + 1:]:
             shared = sorted(set(block_means[a]) & set(block_means[b]))
+            out[(a, b)] = None
             if len(shared) < 2:
-                raise InsufficientData(f"fewer than 2 shared blocks for pair ({a}, {b})")
+                continue
             xs = np.array([block_means[a][k] for k in shared])
             ys = np.array([block_means[b][k] for k in shared])
             sx, sy = xs.std(), ys.std()
-            if sx == 0.0 or sy == 0.0:
-                raise InsufficientData(f"constant block means for pair ({a}, {b})")
-            out[(a, b)] = float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy))
+            if sx != 0.0 and sy != 0.0:
+                out[(a, b)] = float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (sx * sy))
     return out
 
 
@@ -234,6 +236,8 @@ def write_comparison(comparisons: dict[float, list[dict]], path) -> None:
     ))
 
 
-def write_rotation(correlations: dict[tuple[str, str], float], path) -> None:
+def write_rotation(correlations: dict[tuple[str, str], float | None], path) -> None:
+    """rotation: one row per terminal pair; an undefined correlation is an
+    empty field (null)."""
     tables.write(path, ("nmt_a", "nmt_b", "block_mean_correlation"),
                  ((a, b, r) for (a, b), r in sorted(correlations.items())))

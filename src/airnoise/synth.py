@@ -27,10 +27,12 @@ generators yields the same numbers as k scalar calls, and ``random(a + b)``
 the same as ``random(a)`` then ``random(b)``, so each sample gets the draws
 a per-sample loop would give it. The arithmetic on the draws is elementwise;
 each (terminal, hour) group's energy offset is ``math.log10(np.mean(...))``
-of its own 1-D jitter row, and levels are rounded by Python's
-``round(x, 2)``. The stream, and every file ``write_scenario`` writes, are
-therefore bit-identical to a per-sample loop's, which ``tests/test_synth.py``
-keeps as the reference.
+of its own 1-D jitter row. Levels are rounded to 2 decimals by ``_round2``,
+which gives Python's ``round(x, 2)`` bit for bit: it computes rint(100 x) / 100
+in blocks, where its docstring proves that exact, and hands the few values
+near a tie, and any non-finite or huge one, to ``round`` itself. The stream,
+and every file ``write_scenario`` writes, are therefore bit-identical to a
+per-sample loop's, which ``tests/test_synth.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -254,6 +255,59 @@ def commuter_wave(hour: int) -> float:
     return math.sin(math.pi * (hour - 6) / 15.0) ** 2
 
 
+# _round2 works in blocks of this many values, so its temporaries stay small.
+_ROUND_BLOCK = 1 << 15
+# Below this |k|, |fl(100 v) - 100 v| <= 2**-14 (half an ulp of |100 v| < 2**40).
+_ROUND_EXACT_BELOW = 2.0 ** 40
+# fl(100 v) closer than this to a half-integer goes to Python's round.
+_ROUND_TIE_MARGIN = 2.0 ** -12
+
+
+def _round2(values: np.ndarray) -> np.ndarray:
+    """``[round(v, 2) for v in values]`` as a new float64 array, bit for bit.
+
+    For each v: s = fl(100 v), k = rint(s), and the result is fl(k / 100).
+    A v is instead rounded by Python's ``round(v, 2)`` when
+    ``|s - k| >= 1/2 - 2**-12`` or ``|k| >= 2**40``; that takes in every NaN
+    and infinity (the comparisons are false) and every v near a tie.
+
+    Why the rest is exact. Python's ``round(v, 2)`` rounds the exact binary
+    value of v to the nearest multiple of 1/100 (ties to even) as a decimal
+    string, then reads that string back as the nearest double.
+
+    * |k| < 2**40 gives |s| < 2**40 and so |100 v| < 2**40 (2**40 is a
+      double and rounding is monotone). The product is then off by at most
+      half an ulp: |s - 100 v| <= 2**-14, which is below the margin 2**-12.
+    * |s - k| < 1/2 - 2**-12, so |100 v - k| < 1/2 - 2**-12 + 2**-14 < 1/2:
+      k is the integer nearest the exact 100 v, and 100 v is no tie. So the
+      decimal Python reads back is exactly k / 100.
+    * k is an integer below 2**53, so it is exact in a double, and IEEE
+      division is correctly rounded: fl(k / 100) is the double nearest
+      k / 100, the one Python's string-to-double gives.
+    * Signs of zero agree: rint keeps the sign of s, so a negative v that
+      rounds to zero gives -0.0 / 100 = -0.0, as ``round`` does.
+
+    The values are taken in blocks of ``_ROUND_BLOCK`` and k is computed in
+    the output itself, so the only float temporary is one block of s (256 KB),
+    whatever the input size: a fresh array for each step raised the peak
+    RSS of a process that generates scenarios by about 1 MB.
+    """
+    values = values.ravel()
+    out = np.empty(values.size)
+    for lo in range(0, values.size, _ROUND_BLOCK):
+        v = values[lo:lo + _ROUND_BLOCK]
+        k = out[lo:lo + v.size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = v * 100.0
+            np.rint(s, out=k)
+            exact = np.abs(np.subtract(s, k, out=s), out=s) < 0.5 - _ROUND_TIE_MARGIN
+            exact &= np.abs(k, out=s) < _ROUND_EXACT_BELOW
+        np.divide(k, 100.0, out=k)
+        for i in np.flatnonzero(~exact).tolist():
+            out[lo + i] = round(float(v[i]), 2)
+    return out
+
+
 def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     """Build the full six-schema bundle plus its ground truth record."""
     window_start = datetime.combine(config.start, time(0))
@@ -420,17 +474,18 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     energy_offset = np.array([10.0 * math.log10(np.mean(10.0 ** (row / 10.0))) for row in jitter])
     intended = np.array([intended_level[key] for key in keys])
     levels[np.ix_(loud, retained_index)] = intended[:, None] + jitter - energy_offset[:, None]
+    del jitter
+    # levels are rounded exactly as Python's round(x, 2) rounds them (see
+    # _round2), not by np.round, which can round differently
+    levels = _round2(levels)
 
-    # levels are rounded by Python's round, not np.round, which scales by 100
-    # first and so can round differently
     names = sorted(nmt_side)
     hour_us = np.array(hours, dtype="datetime64[us]").view(np.int64)
     spl = SplColumns(
         names,
         np.repeat(np.array([names.index(n.nmt_id) for n in nmts], dtype=np.int32), len(hours) * n_samples),
         np.tile((hour_us[:, None] + slots * 3_000_000).ravel(), n_nmts).view("datetime64[us]"),
-        np.fromiter(chain.from_iterable(map(round, row.tolist(), repeat(2)) for row in levels),
-                    np.float64, levels.size),
+        levels,
     )
 
     bundle = Bundle(

@@ -554,6 +554,38 @@ def test_rotation_follows_the_window(small_bundle, tmp_path):
     assert short == expected.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_window_shorter_than_two_blocks_gives_null_rotation(small_bundle, tmp_path, fmt):
+    out = tmp_path / "out"
+    assert main(["exposure", "--in", str(small_bundle), "--out", str(out), "--format", fmt,
+                 "--window-start", "2023-01-01T00:00", "--window-end", "2023-01-01T03:00"]) == 0
+    if fmt == "csv":
+        rows = list(csv.reader((out / "rotation.csv").open()))[1:]
+        assert len(rows) == 10 and {row[2] for row in rows} == {""}
+    else:
+        records = json.loads((out / "rotation.json").read_text())
+        assert len(records) == 10 and {r["block_mean_correlation"] for r in records} == {None}
+
+
+def test_terminal_with_one_block_gives_null_rotation_in_report(small_bundle, tmp_path):
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    lines = (bundle / "spl.csv").read_text().splitlines(keepends=True)
+    # NMT5 keeps hours 00 and 01 of the first day, one rotation block
+    (bundle / "spl.csv").write_text("".join(
+        line for line in lines
+        if not line.startswith("NMT5,") or line.startswith(("NMT5,2023-01-01T00", "NMT5,2023-01-01T01"))
+    ))
+    out = tmp_path / "out"
+    assert _report(bundle, out) == 0
+    rotation = {(r["nmt_a"], r["nmt_b"]): r["correlation"]
+                for r in json.loads((out / "report.json").read_text())["rotation"]}
+    assert len(rotation) == 10
+    assert {pair for pair, r in rotation.items() if r is None} == {(f"NMT{k}", "NMT5") for k in range(1, 5)}
+    assert all(isinstance(r, float) for pair, r in rotation.items() if "NMT5" not in pair)
+    cells = {(a, b): r for a, b, r in list(csv.reader((out / "rotation.csv").open()))[1:]}
+    assert {pair for pair, r in cells.items() if r == ""} == {(f"NMT{k}", "NMT5") for k in range(1, 5)}
+
+
 def test_validate_imports_only_the_layers_it_uses(small_bundle, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(airnoise.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(

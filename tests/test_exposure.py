@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from airnoise.acoustics import HourlyLaeq
-from airnoise.errors import GridMismatch, InsufficientData, NegativeValue
+from airnoise.errors import GridMismatch, NegativeValue
 from airnoise.exposure import (
     BASIS_RESIDENTIAL,
     compare_bases,
@@ -225,8 +225,13 @@ def test_rotation_identical_pair():
 
 def test_rotation_insufficient_data():
     series = _block_series("A", (80.0, 70.0), n_blocks=1) + _block_series("B", (70.0, 80.0), n_blocks=1)
-    with pytest.raises(InsufficientData):
-        rotation_contrast(series, 3)
+    assert rotation_contrast(series, 3) == {("A", "B"): None}
+
+
+def test_rotation_constant_block_means():
+    series = _block_series("A", (80.0, 80.0)) + _block_series("B", (70.0, 80.0)) + _block_series("C", (80.0, 70.0))
+    assert rotation_contrast(series, 3) == {("A", "B"): None, ("A", "C"): None,
+                                            ("B", "C"): pytest.approx(-1.0, abs=1e-6)}
 
 
 def test_rotation_absent_hours_skipped():

@@ -4,7 +4,9 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from airnoise import synth
 from airnoise.acoustics import hourly_series
 from airnoise.errors import InvalidConfig
 from airnoise.exposure import rotation_contrast
@@ -299,3 +301,64 @@ def test_generated_spl_equals_per_sample_reference(config):
     bundle, truth = generate(config)
     assert bundle.spl.names == tuple(sorted(truth.nmt_side))
     assert list(bundle.spl) == _reference_spl(config, truth)
+
+
+# --- level rounding -------------------------------------------------------------
+
+def _assert_rounds_like_python(values):
+    values = np.array(values, dtype=np.float64)
+    expected = np.array([round(v, 2) for v in values.tolist()], dtype=np.float64)
+    got = synth._round2(values)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=300)
+@given(st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-200.0, max_value=200.0),
+        st.integers(min_value=-(10 ** 9), max_value=10 ** 9).map(lambda k: (k + 0.5) / 100),
+    ),
+    max_size=50,
+))
+def test_round2_equals_python_round(values):
+    _assert_rounds_like_python(values)
+
+
+def _near_ties():
+    """(k + 1/2) / 100 and the doubles up to four steps either side of it."""
+    ks = [*range(-3000, 3000), *(10 ** e + d for e in range(4, 16) for d in (-1, 0, 1)), 2 ** 40, 2 ** 52]
+    for k in ks:
+        for sign in (1.0, -1.0):
+            v = sign * (k + 0.5) / 100
+            yield v
+            up = down = v
+            for _ in range(4):
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+                yield up
+                yield down
+
+
+def test_round2_constructed_cases():
+    exact_ties = [m / 8 for m in range(-801, 802, 2)]  # 100 * m/8 is a half-integer
+    specials = [0.0, -0.0, -0.001, 0.004, -0.005, 0.005, 2.675, -2.675, 5e-324, -5e-324,
+                math.inf, -math.inf, math.nan, -math.nan, 1.7976931348623157e308, -1.7976931348623157e308,
+                2.0 ** 40 / 100, 2.0 ** 33, 2.0 ** 53, 1e16 + 2]
+    values = [*exact_ties, *specials, *_near_ties()]
+    assert len(values) > 2 * synth._ROUND_BLOCK  # several blocks
+    _assert_rounds_like_python(values)
+
+
+def test_round2_falls_back_near_a_tie(monkeypatch):
+    calls = []
+
+    def counting_round(v, ndigits):
+        calls.append(v)
+        return round(v, ndigits)
+
+    monkeypatch.setattr(synth, "round", counting_round, raising=False)
+    # the double 2.675 lies just below the decimal 2.675, so round gives 2.67,
+    # but fl(100 * 2.675) is 267.5 and rint alone would give 2.68
+    assert synth._round2(np.array([2.67, 2.675, 70.31])).tolist() == [2.67, 2.67, 70.31]
+    assert calls == [2.675]
