@@ -1,7 +1,8 @@
+import sys
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from airnoise.acoustics import HourlyLaeq
 from airnoise.errors import GridMismatch, NegativeValue
@@ -133,6 +134,10 @@ def test_gini_matches_pairwise(values):
     st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_gini_scale_invariance(values, c):
+    # c * v below the smallest normal double keeps only part of its relative
+    # precision (c * 5e-324 with c < 1/2 is 0), so the scaled vector is not a
+    # scaled copy of the original and the property does not hold for it
+    assume(all(v == 0.0 or c * v >= sys.float_info.min for v in values))
     base = gini(values)
     scaled = gini([c * v for v in values])
     if base is None:
