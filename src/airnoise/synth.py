@@ -30,9 +30,10 @@ each (terminal, hour) group's energy offset is ``math.log10(np.mean(...))``
 of its own 1-D jitter row. Levels are rounded to 2 decimals by ``_round2``,
 which gives Python's ``round(x, 2)`` bit for bit: it computes rint(100 x) / 100
 in blocks, where its docstring proves that exact, and hands the few values
-near a tie, and any non-finite or huge one, to ``round`` itself. The stream,
-and every file ``write_scenario`` writes, are therefore bit-identical to a
-per-sample loop's, which ``tests/test_synth.py`` keeps as the reference.
+whose fl(100 x) is a half-integer, and any non-finite or huge one, to
+``round`` itself. The stream, and every file ``write_scenario`` writes, are
+therefore bit-identical to a per-sample loop's, which ``tests/test_synth.py``
+keeps as the reference.
 """
 
 from __future__ import annotations
@@ -257,10 +258,8 @@ def commuter_wave(hour: int) -> float:
 
 # _round2 works in blocks of this many values, so its temporaries stay small.
 _ROUND_BLOCK = 1 << 15
-# Below this |k|, |fl(100 v) - 100 v| <= 2**-14 (half an ulp of |100 v| < 2**40).
-_ROUND_EXACT_BELOW = 2.0 ** 40
-# fl(100 v) closer than this to a half-integer goes to Python's round.
-_ROUND_TIE_MARGIN = 2.0 ** -12
+# Below this |k|, k and k +- 1/2 are all doubles.
+_ROUND_EXACT_BELOW = 2.0 ** 52
 
 
 def _round2(values: np.ndarray) -> np.ndarray:
@@ -268,19 +267,19 @@ def _round2(values: np.ndarray) -> np.ndarray:
 
     For each v: s = fl(100 v), k = rint(s), and the result is fl(k / 100).
     A v is instead rounded by Python's ``round(v, 2)`` when
-    ``|s - k| >= 1/2 - 2**-12`` or ``|k| >= 2**40``; that takes in every NaN
-    and infinity (the comparisons are false) and every v near a tie.
+    ``|s - k| >= 1/2`` (s is a half-integer) or ``|k| >= 2**52``; that takes
+    in every NaN and infinity (the comparisons are false).
 
     Why the rest is exact. Python's ``round(v, 2)`` rounds the exact binary
     value of v to the nearest multiple of 1/100 (ties to even) as a decimal
     string, then reads that string back as the nearest double.
 
-    * |k| < 2**40 gives |s| < 2**40 and so |100 v| < 2**40 (2**40 is a
-      double and rounding is monotone). The product is then off by at most
-      half an ulp: |s - 100 v| <= 2**-14, which is below the margin 2**-12.
-    * |s - k| < 1/2 - 2**-12, so |100 v - k| < 1/2 - 2**-12 + 2**-14 < 1/2:
-      k is the integer nearest the exact 100 v, and 100 v is no tie. So the
-      decimal Python reads back is exactly k / 100.
+    * Rounding to a double is monotone, and for |k| < 2**52 the bounds
+      k - 1/2 and k + 1/2 are doubles, so each rounds to itself. If the
+      exact 100 v were at or beyond one of them, fl(100 v) and then
+      fl(s - k) would be too; so |s - k| < 1/2 gives |100 v - k| < 1/2:
+      k is the integer nearest the exact 100 v, and 100 v is no tie. The
+      decimal Python reads back is therefore exactly k / 100.
     * k is an integer below 2**53, so it is exact in a double, and IEEE
       division is correctly rounded: fl(k / 100) is the double nearest
       k / 100, the one Python's string-to-double gives.
@@ -300,7 +299,7 @@ def _round2(values: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             s = v * 100.0
             np.rint(s, out=k)
-            exact = np.abs(np.subtract(s, k, out=s), out=s) < 0.5 - _ROUND_TIE_MARGIN
+            exact = np.abs(np.subtract(s, k, out=s), out=s) < 0.5
             exact &= np.abs(k, out=s) < _ROUND_EXACT_BELOW
         np.divide(k, 100.0, out=k)
         for i in np.flatnonzero(~exact).tolist():

@@ -328,7 +328,8 @@ def test_round2_equals_python_round(values):
 
 def _near_ties():
     """(k + 1/2) / 100 and the doubles up to four steps either side of it."""
-    ks = [*range(-3000, 3000), *(10 ** e + d for e in range(4, 16) for d in (-1, 0, 1)), 2 ** 40, 2 ** 52]
+    ks = [*range(-3000, 3000), *(10 ** e + d for e in range(4, 16) for d in (-1, 0, 1)),
+          2 ** 40, 2 ** 51 + 1, 2 ** 52 - 1, 2 ** 52]
     for k in ks:
         for sign in (1.0, -1.0):
             v = sign * (k + 0.5) / 100
@@ -344,7 +345,7 @@ def test_round2_constructed_cases():
     exact_ties = [m / 8 for m in range(-801, 802, 2)]  # 100 * m/8 is a half-integer
     specials = [0.0, -0.0, -0.001, 0.004, -0.005, 0.005, 2.675, -2.675, 5e-324, -5e-324,
                 math.inf, -math.inf, math.nan, -math.nan, 1.7976931348623157e308, -1.7976931348623157e308,
-                2.0 ** 40 / 100, 2.0 ** 33, 2.0 ** 53, 1e16 + 2]
+                2.0 ** 40 / 100, 2.0 ** 52 / 100, (2.0 ** 52 - 1) / 100, 2.0 ** 33, 2.0 ** 53, 1e16 + 2]
     values = [*exact_ties, *specials, *_near_ties()]
     assert len(values) > 2 * synth._ROUND_BLOCK  # several blocks
     _assert_rounds_like_python(values)
