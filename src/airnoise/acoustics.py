@@ -7,7 +7,7 @@ whose samples all fall at or below the threshold carry an explicitly absent
 level: 0 dBA is a valid physical reading, so absence is never encoded as a
 number.
 
-``hourly_series`` works on the columnar SPL stream (``spl.SplColumns``):
+``hourly_series`` takes the SPL stream in its only form, ``spl.SplColumns``:
 one stable sort on a (terminal, hour) key groups the samples, and each
 group's retained levels go through ``laeq``. Only the grouping is
 vectorised. Each power stays Python's ``10.0 ** ((lv - peak) / 10.0)``,
@@ -22,14 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import tables
 from .errors import EmptyInput
 from .ingest import SAMPLES_PER_HOUR_NOMINAL
-from .spl import SplColumns, SplSample
+from .spl import SplColumns
 
 DEFAULT_RETENTION_DBA = 60.0
 
@@ -43,18 +42,7 @@ class HourlyLaeq:
     completeness: float
 
 
-def retain_above(samples: Sequence[SplSample], threshold: float) -> list[SplSample]:
-    """Samples with level strictly greater than ``threshold``, order preserved.
-
-    ``float("-inf")`` is the documented sentinel for "retention disabled":
-    every sample passes. NaN thresholds are rejected.
-    """
-    if math.isnan(threshold):
-        raise ValueError("retention threshold must not be NaN")
-    return [s for s in samples if s.level > threshold]
-
-
-def laeq(levels: Sequence[float]) -> float:
+def laeq(levels: list[float]) -> float:
     """Energy mean 10*log10(mean(10**(L/10))) of a non-empty level list.
 
     Summation happens in linear power units relative to the maximum level, so
@@ -72,19 +60,19 @@ def laeq(levels: Sequence[float]) -> float:
 
 
 def hourly_series(
-    samples: Iterable[SplSample],
+    samples: SplColumns,
     retention: float = DEFAULT_RETENTION_DBA,
 ) -> list[HourlyLaeq]:
-    """Per (terminal, hour) LAeq over retained samples.
+    """Per (terminal, hour) LAeq over the samples strictly above ``retention``.
 
-    Every (terminal, hour) that appears in ``samples`` yields a record; hours
-    with zero retained samples get ``laeq=None`` and ``n_retained=0``.
-    Completeness counts all samples, retained or not, against the nominal
-    1200 per hour. Output is sorted by (terminal, hour).
+    ``float("-inf")`` retains every sample. Every (terminal, hour) that
+    appears in ``samples`` yields a record; hours with zero retained samples
+    get ``laeq=None`` and ``n_retained=0``. Completeness counts all samples,
+    retained or not, against the nominal 1200 per hour. Output is sorted by
+    (terminal, hour).
     """
-    columns = SplColumns.from_samples(samples)
-    order, starts, keys = columns.hour_groups()
-    levels = columns.levels[order]
+    order, starts, keys = samples.hour_groups()
+    levels = samples.levels[order]
     ends = np.r_[starts[1:], len(levels)].tolist()
     out = []
     for (nmt_id, hour), start, end in zip(keys, starts.tolist(), ends):
@@ -103,7 +91,7 @@ def hourly_series(
 HOURLY_LAEQ_HEADER = ("nmt_id", "hour_start", "laeq_dba", "n_retained", "completeness")
 
 
-def write_hourly_laeq(series: Iterable[HourlyLaeq], path) -> None:
+def write_hourly_laeq(series: list[HourlyLaeq], path) -> None:
     """hourly_laeq.csv; an absent LAeq is an empty field."""
     tables.write(path, HOURLY_LAEQ_HEADER, (
         (h.nmt_id, tables.hour(h.hour_start), h.laeq, h.n_retained, h.completeness) for h in series

@@ -19,8 +19,9 @@ Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
 report.json included, is written to a temporary file that then replaces it.
 A table written in one --format removes the same table in the other
-(`_table_path`), and the exposure stage removes the tables of thresholds no
-longer asked for, so --out never holds a stale copy.
+(`_table_path`), the exposure stage removes the tables of thresholds no
+longer asked for, and every `Run` subcommand but report removes report.json,
+so --out never holds a stale copy.
 
 Configuration comes from a plain key=value file (--config) overridden by
 flags. All randomness derives from the single --seed through named
@@ -173,6 +174,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if not cfg.thresholds:
         raise InvalidConfig("at least one --theta is required")
+    if np.isnan([cfg.retention_dba, *cfg.thresholds]).any():
+        raise UsageError("retention_dba and theta must not be NaN")
     return replace(cfg, thresholds=tuple(sorted(set(cfg.thresholds))))
 
 
@@ -396,6 +399,8 @@ class Run:
             start, end = _window(self.cfg, [] if given else self.weather)
             self.cfg = replace(self.cfg, window_start=start, window_end=end)
         self.ws = Workspace(self.cfg.out_dir)
+        if args.command != "report":  # a report.json left here would describe other outputs
+            (self.ws.out / "report.json").unlink(missing_ok=True)
 
     weather = _parsed("weather")
     tracts = _parsed("tracts")

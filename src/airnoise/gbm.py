@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -450,24 +450,8 @@ def _rmse(pred: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # prediction and evaluation
 
-def predict(ensemble: Ensemble, row: Mapping[str, float]) -> float:
-    """Prediction for one row given as a feature-name mapping.
-
-    Every feature the ensemble was trained with must be present and finite;
-    there is no default-direction handling for missing values.
-    """
-    values = np.empty(len(ensemble.feature_names))
-    for i, name in enumerate(ensemble.feature_names):
-        if name not in row:
-            raise MissingFeature(name)
-        v = float(row[name])
-        if not math.isfinite(v):
-            raise NonFiniteFeature(f"feature {name!r} is not finite")
-        values[i] = v
-    return predict_batch(ensemble, values.reshape(1, -1))[0]
-
-
 def predict_batch(ensemble: Ensemble, X: np.ndarray) -> np.ndarray:
+    """Predictions for the rows of ``X``: one finite value per trained feature."""
     X = np.asarray(X, dtype=np.float64)
     _check_matrix(X)
     if X.shape[1] != len(ensemble.feature_names):

@@ -15,11 +15,11 @@ Schemas (header row shown):
     nmts.csv:       nmt_id,tract_id,lat,lon
 
 The SPL stream, the only input that grows with the data, parses into
-columns (``spl.SplColumns``), not one object per reading. ``parse_spl``
-reads the file in chunks of about ``SPL_CHUNK_CHARS`` characters, so the
-temporaries stay small and peak memory grows with the file only by the
-columns themselves. Each chunk is split once and checked with array
-operations (``spl.parse_chunk``). A chunk falls back to the row parser
+columns (``spl.SplColumns``), its only form, not one object per reading.
+``parse_spl`` reads the file in chunks of about ``SPL_CHUNK_CHARS``
+characters, so the temporaries stay small and peak memory grows with the
+file only by the columns themselves. Each chunk is split once and checked
+with array operations (``spl.parse_chunk``). A chunk falls back to the row parser
 (``csv.reader``, one row at a time, which also builds the error) if it holds
 anything unusual: a quote character or a carriage return (then the row
 parser takes the rest of the file, since a quoted field may span lines), a
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import tables
 from .errors import DuplicateKey, MalformedRow, RangeViolation
-from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, SplSample, parse_chunk
+from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, parse_chunk
 
 # Nominal 3-second samples in one hour; completeness is reported against this,
 # never imputed.
@@ -113,7 +113,7 @@ class NmtMeta:
 class Bundle:
     """All six parsed datasets for one run."""
 
-    spl: Sequence[SplSample]
+    spl: SplColumns
     flights: list[FlightEvent]
     weather: list[WeatherHour]
     population: list[PopulationRecord]
@@ -227,27 +227,32 @@ def parse_spl(source) -> SplColumns:
     return _parse_spl_stream(_text(source), SPL_CHUNK_CHARS)
 
 
-def _parse_spl_rows(source) -> list[SplSample]:
+def _parse_spl_rows(source) -> SplColumns:
     """The row parser: one ``csv.reader`` row at a time."""
-    return _spl_samples(_rows(source, SPL_HEADER))
+    columns = SplBuilder()
+    columns.add(*_spl_fields(_rows(source, SPL_HEADER)))
+    return columns.build()
 
 
-def _spl_samples(rows) -> list[SplSample]:
-    out = []
+def _spl_fields(rows) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The terminal ids, microseconds since 1970 and levels of spl.csv rows:
+    the arguments of ``SplBuilder.add``."""
+    ids, stamps, levels = [], [], []
     for lineno, (nmt_id, ts, level) in rows:
         lv = _float(level, lineno, "level")
         if not LEVEL_MIN_DBA <= lv <= LEVEL_MAX_DBA:
             raise RangeViolation(lineno, "level_dba", lv, f"[{LEVEL_MIN_DBA}, {LEVEL_MAX_DBA}]")
-        out.append(SplSample(nmt_id, _datetime(ts, lineno, "timestamp"), lv))
-    return out
+        ids.append(nmt_id)
+        stamps.append(_datetime(ts, lineno, "timestamp"))
+        levels.append(lv)
+    return ids, np.array(stamps, dtype="datetime64[us]").view(np.int64), np.array(levels)
 
 
 def _parse_spl_stream(fh, chunk_chars: int) -> SplColumns:
-    columns = SplBuilder()
     first = fh.readline()
     if '"' in first or "\r" in first:
-        columns.add_samples(_parse_spl_rows(chain([first], fh)))
-        return columns.build()
+        return _parse_spl_rows(chain([first], fh))
+    columns = SplBuilder()
     if first:
         _check_header(next(csv.reader([first])), SPL_HEADER)
     lineno = 2
@@ -255,11 +260,11 @@ def _parse_spl_stream(fh, chunk_chars: int) -> SplColumns:
         text = "".join(lines)
         if '"' in text or "\r" in text:
             # a quoted field may span chunks: the row parser takes the rest
-            columns.add_samples(_spl_samples(_records(csv.reader(chain(lines, fh)), lineno, 3)))
+            columns.add(*_spl_fields(_records(csv.reader(chain(lines, fh)), lineno, 3)))
             break
         chunk = parse_chunk(text, len(lines))
         if chunk is None:
-            columns.add_samples(_spl_samples(_records(csv.reader(lines), lineno, 3)))
+            columns.add(*_spl_fields(_records(csv.reader(lines), lineno, 3)))
         else:
             columns.add(*chunk)
         lineno += len(lines)
@@ -364,7 +369,7 @@ def parse_bundle(directory) -> Bundle:
 # precision, timestamps with second precision. Every stream but spl.csv is
 # written by tables.write.
 
-def write_spl(samples: Iterable[SplSample], dest) -> None:
+def write_spl(columns: SplColumns, dest) -> None:
     """Write the stream from its columns.
 
     Each distinct whole-second timestamp is formatted once for the stream,
@@ -375,9 +380,8 @@ def write_spl(samples: Iterable[SplSample], dest) -> None:
     """
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_spl(samples, fh)
+            write_spl(columns, fh)
         return
-    columns = SplColumns.from_samples(samples)
     # the distinct whole seconds (datetime64 floors, as isoformat(timespec=
     # "seconds") drops the microseconds); not np.unique, which on a plain
     # array hashes, slower here, and imports numpy.ma
@@ -496,7 +500,7 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
     report = ValidationReport()
     hours = window_hours(window)
     add = report.findings.append
-    spl = SplColumns.from_samples(bundle.spl)
+    spl = bundle.spl
 
     # -- window membership
     def in_window(ts: datetime) -> bool:
@@ -504,8 +508,7 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
 
     outside = (spl.times < np.datetime64(window[0], "us")) | (spl.times >= np.datetime64(window[1], "us"))
     for i in np.flatnonzero(outside).tolist():
-        s = spl[i]
-        add(Finding("spl", OUT_OF_WINDOW, s.timestamp.isoformat(), f"sample at {s.nmt_id}"))
+        add(Finding("spl", OUT_OF_WINDOW, spl.times[i].item().isoformat(), f"sample at {spl.names[spl.codes[i]]}"))
     for f in bundle.flights:
         if not in_window(f.timestamp):
             add(Finding("flights", OUT_OF_WINDOW, f.timestamp.isoformat(), f.runway))
@@ -536,8 +539,8 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
     codes, times = spl.codes[order], spl.times[order]
     repeat = (codes[1:] == codes[:-1]) & (times[1:] == times[:-1])
     for i in np.sort(order[1:][repeat]).tolist():
-        s = spl[i]
-        add(Finding("spl", DUPLICATE_KEY, f"{s.nmt_id}@{s.timestamp.isoformat()}", "duplicate sample"))
+        add(Finding("spl", DUPLICATE_KEY, f"{spl.names[spl.codes[i]]}@{spl.times[i].item().isoformat()}",
+                    "duplicate sample"))
     _, starts, keys = spl.hour_groups()
     counts = dict(zip(keys, np.diff(np.r_[starts, len(spl)]).tolist()))
     nmt_ids = {n.nmt_id for n in bundle.nmts}

@@ -4,19 +4,19 @@ The SPL stream (one reading every 3 s per terminal) is the only input that
 grows with the data, so it is held in columns, not as one object per
 reading: ``SplColumns`` keeps a terminal code per sample (indexing the
 sorted terminal ids), a ``datetime64[us]`` timestamp and a float64 level,
-and is a read-only ``Sequence[SplSample]``.
+each column read-only. It is the stream's only type: the parser returns it,
+and the writer, the validator and the LAeq stage take it.
 
 ``parse_chunk`` is the fast path of ``ingest.parse_spl``: it turns one chunk
 of canonical rows into columns with array operations, or returns None when
 any row needs the row parser (see ``ingest`` for the fallback rule).
+``SplBuilder`` joins the chunks of both paths into one ``SplColumns``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable
 
 import numpy as np
 
@@ -32,23 +32,12 @@ _TS_SEPARATORS = np.frombuffer(b"--T::", np.uint8)
 _TS_DIGIT_AT = [i for i in range(19) if i not in _TS_SEPARATOR_AT]
 
 
-@dataclass(frozen=True, slots=True)
-class SplSample:
-    """One 3-second A-weighted sound-pressure reading at one terminal."""
-
-    nmt_id: str
-    timestamp: datetime
-    level: float
-
-
-class SplColumns(Sequence[SplSample]):
+class SplColumns:
     """A read-only SPL stream held in columns.
 
     ``names`` are the distinct terminal ids in sorted order and ``codes``
     index into them; ``times`` are ``datetime64[us]``, the resolution of
-    ``datetime``; ``levels`` are float64. Indexing and iteration yield
-    ``SplSample`` records, a slice yields ``SplColumns``, and a stream equals
-    any list or tuple of equal samples.
+    ``datetime``; ``levels`` are float64. ``len`` is the number of samples.
     """
 
     __slots__ = ("names", "codes", "times", "levels")
@@ -61,34 +50,8 @@ class SplColumns(Sequence[SplSample]):
         for column in (codes, times, levels):
             column.flags.writeable = False
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[SplSample]) -> SplColumns:
-        """Columns of ``samples``; a ``SplColumns`` is returned as it is."""
-        if isinstance(samples, SplColumns):
-            return samples
-        columns = SplBuilder()
-        columns.add_samples(list(samples))
-        return columns.build()
-
     def __len__(self) -> int:
         return len(self.levels)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            used, codes = np.unique(self.codes[index], return_inverse=True)
-            return SplColumns([self.names[u] for u in used.tolist()], codes.astype(np.int32),
-                              self.times[index].copy(), self.levels[index].copy())
-        return SplSample(self.names[self.codes[index]], self.times[index].item(), float(self.levels[index]))
-
-    def __iter__(self):
-        names = self.names
-        for code, ts, level in zip(self.codes.tolist(), self.times.tolist(), self.levels.tolist()):
-            yield SplSample(names[code], ts, level)
-
-    def __eq__(self, other):
-        if not isinstance(other, (SplColumns, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
         return f"SplColumns({len(self)} samples at {', '.join(self.names)})"
@@ -181,13 +144,6 @@ class SplBuilder:
         self.codes.append(np.fromiter(map(self.code_of.__getitem__, ids), np.int32, len(ids)))
         self.micros.append(micros)
         self.levels.append(levels)
-
-    def add_samples(self, samples: list[SplSample]) -> None:
-        self.add(
-            [s.nmt_id for s in samples],
-            np.array([s.timestamp for s in samples], dtype="datetime64[us]").view(np.int64),
-            np.array([s.level for s in samples], dtype=np.float64),
-        )
 
     def build(self) -> SplColumns:
         names = sorted(self.code_of)

@@ -216,28 +216,6 @@ class GroundTruth:
             "intended_level": self.intended_level,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GroundTruth":
-        return cls(
-            seed=doc["seed"],
-            window_start=datetime.fromisoformat(doc["window_start"]),
-            window_end=datetime.fromisoformat(doc["window_end"]),
-            block_hours=doc["block_hours"],
-            landing_runway_by_parity={int(k): v for k, v in doc["landing_runway_by_parity"].items()},
-            quiet_hours=list(doc["quiet_hours"]),
-            nmt_side=dict(doc["nmt_side"]),
-            nmt_base=dict(doc["nmt_base"]),
-            tract_of_nmt=dict(doc["tract_of_nmt"]),
-            diurnal=dict(doc["diurnal"]),
-            dominant_feature=doc["dominant_feature"],
-            threshold_feature=doc["threshold_feature"],
-            threshold_value=doc["threshold_value"],
-            coefficients=dict(doc["coefficients"]),
-            noise_std=doc["noise_std"],
-            clean_level=dict(doc["clean_level"]),
-            intended_level=dict(doc["intended_level"]),
-        )
-
 
 def landing_runway(hour: datetime, block_hours: int) -> str:
     """Runway on landing duty this hour: roles swap every block.

@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from airnoise.acoustics import hourly_series, laeq, retain_above
+from conftest import spl_columns
+
+from airnoise.acoustics import hourly_series, laeq
 from airnoise.errors import EmptyInput
-from airnoise.ingest import SplSample
-from airnoise.spl import SplColumns
 
 HOUR = datetime(2023, 1, 5, 9)
 
 
 def _samples(levels, nmt="N1", start=HOUR):
-    return [SplSample(nmt, start + timedelta(seconds=3 * k), lv) for k, lv in enumerate(levels)]
+    """(terminal, timestamp, level) rows 3 s apart from ``start``."""
+    return [(nmt, start + timedelta(seconds=3 * k), lv) for k, lv in enumerate(levels)]
+
+
+def _series(rows, retention):
+    return hourly_series(spl_columns(rows), retention)
 
 
 def oracle_laeq(levels):
@@ -25,27 +30,22 @@ def oracle_laeq(levels):
 # --- retention -----------------------------------------------------------
 
 def test_retain_strictly_above():
-    out = retain_above(_samples([59.9, 60.0, 60.1]), 60.0)
-    assert [s.level for s in out] == [60.1]
+    (rec,) = _series(_samples([59.9, 60.0, 60.1]), 60.0)
+    assert rec.n_retained == 1
+    assert rec.laeq == 60.1
 
 
 def test_retain_all_below_gives_empty():
-    assert retain_above(_samples([50.0, 55.0, 60.0]), 60.0) == []
+    (rec,) = _series(_samples([50.0, 55.0, 60.0]), 60.0)
+    assert rec.n_retained == 0
+    assert rec.laeq is None
 
 
 def test_retain_disabled_sentinel():
-    samples = _samples([0.0, 59.9, 120.0])
-    assert retain_above(samples, float("-inf")) == samples
-
-
-def test_retain_rejects_nan_threshold():
-    with pytest.raises(ValueError):
-        retain_above(_samples([70.0]), float("nan"))
-
-
-def test_retain_preserves_order():
-    samples = _samples([80.0, 61.0, 75.0, 62.0])
-    assert [s.level for s in retain_above(samples, 60.5)] == [80.0, 61.0, 75.0, 62.0]
+    levels = [0.0, 59.9, 120.0]
+    (rec,) = _series(_samples(levels), float("-inf"))
+    assert rec.n_retained == 3
+    assert rec.laeq == laeq(levels)
 
 
 # --- energy mean ----------------------------------------------------------
@@ -112,7 +112,7 @@ def test_laeq_fixed_point_when_adding_own_level(levels):
 
 def test_hourly_series_constant_hour():
     samples = _samples([72.0] * 1200)
-    (rec,) = hourly_series(samples, 60.0)
+    (rec,) = _series(samples, 60.0)
     assert rec.laeq == 72.0
     assert rec.n_retained == 1200
     assert rec.completeness == 1.0
@@ -120,7 +120,7 @@ def test_hourly_series_constant_hour():
 
 def test_hourly_series_mixed_retention():
     samples = _samples([65.0] * 600 + [55.0] * 600)
-    (rec,) = hourly_series(samples, 60.0)
+    (rec,) = _series(samples, 60.0)
     assert rec.laeq == pytest.approx(65.0, abs=1e-9)
     assert rec.n_retained == 600
     assert rec.completeness == 1.0
@@ -128,7 +128,7 @@ def test_hourly_series_mixed_retention():
 
 def test_hourly_series_all_below_threshold():
     samples = _samples([52.0] * 100)
-    (rec,) = hourly_series(samples, 60.0)
+    (rec,) = _series(samples, 60.0)
     assert rec.laeq is None
     assert rec.n_retained == 0
     assert rec.completeness == pytest.approx(100 / 1200)
@@ -138,7 +138,7 @@ def test_hourly_series_groups_and_sorts():
     a = _samples([70.0, 71.0], nmt="N2")
     b = _samples([66.0], nmt="N1")
     c = _samples([68.0], nmt="N1", start=HOUR + timedelta(hours=1))
-    out = hourly_series(a + b + c, 60.0)
+    out = _series(a + b + c, 60.0)
     assert [(r.nmt_id, r.hour_start) for r in out] == [
         ("N1", HOUR), ("N1", HOUR + timedelta(hours=1)), ("N2", HOUR),
     ]
@@ -147,9 +147,7 @@ def test_hourly_series_groups_and_sorts():
 def test_hourly_laeq_round_trip(tmp_path):
     from airnoise.acoustics import read_hourly_laeq, write_hourly_laeq
 
-    series = hourly_series(
-        _samples([65.0] * 3 + [55.0] * 2) + _samples([50.0], nmt="N2"), 60.0
-    )
+    series = _series(_samples([65.0] * 3 + [55.0] * 2) + _samples([50.0], nmt="N2"), 60.0)
     path = tmp_path / "hourly_laeq.csv"
     write_hourly_laeq(series, path)
     assert read_hourly_laeq(path) == series
@@ -161,7 +159,7 @@ def test_hourly_series_brute_force_equivalence():
         n = int(rng.integers(1, 120))
         levels = rng.uniform(40, 100, n)
         samples = _samples(list(levels))
-        (rec,) = hourly_series(samples, 60.0)
+        (rec,) = _series(samples, 60.0)
         retained = levels[levels > 60.0]
         if retained.size == 0:
             assert rec.laeq is None
@@ -177,15 +175,15 @@ def test_hourly_series_equals_laeq_of_each_group_exactly():
     seconds = rng.integers(0, 6 * 3600, n)
     levels = np.round(rng.uniform(30, 110, n), 2)
     levels[rng.random(n) < 0.01] = 0.0
-    samples = [SplSample(str(a), HOUR + timedelta(seconds=int(s)), float(lv))
+    samples = [(str(a), HOUR + timedelta(seconds=int(s)), float(lv))
                for a, s, lv in zip(nmts, seconds, levels)]
     # one hour where nothing is retained
     samples += _samples([40.0] * 7, nmt="N4", start=HOUR + timedelta(hours=3))
     groups = {}
-    for s in samples:
-        groups.setdefault((s.nmt_id, s.timestamp.replace(minute=0, second=0)), []).append(s.level)
+    for nmt, ts, level in samples:
+        groups.setdefault((nmt, ts.replace(minute=0, second=0)), []).append(level)
 
-    out = hourly_series(samples, 60.0)
+    out = _series(samples, 60.0)
     assert [(r.nmt_id, r.hour_start) for r in out] == sorted(groups)
     for rec in out:
         group = groups[(rec.nmt_id, rec.hour_start)]
@@ -194,11 +192,9 @@ def test_hourly_series_equals_laeq_of_each_group_exactly():
         assert rec.n_retained == len(retained)
         assert rec.completeness == len(group) / 1200
     assert out[-1].nmt_id == "N4" and out[-1].laeq is None
-    assert hourly_series(SplColumns.from_samples(samples), 60.0) == out
-    assert hourly_series(iter(samples), 60.0) == out
 
 
 def test_hourly_series_empty_and_non_finite():
-    assert hourly_series([], 60.0) == []
+    assert _series([], 60.0) == []
     with pytest.raises(ValueError):
-        hourly_series(_samples([70.0, float("inf")]), 60.0)
+        _series(_samples([70.0, float("inf")]), 60.0)

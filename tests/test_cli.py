@@ -464,6 +464,37 @@ def test_theta_change_keeps_shapley_fresh(small_bundle, small_report, primed, mo
     assert report["shap"] == json.loads((small_report / "report.json").read_text())["shap"]
 
 
+@pytest.mark.parametrize("command", ["laeq", "fuse", "exposure", "train", "explain"])
+def test_run_subcommand_removes_report_json(small_bundle, primed, command):
+    # report.json would describe the outputs of the last report, not these
+    assert main([command, "--in", str(small_bundle), "--out", str(primed), "--seed", "11", "--theta", "60"]) == 0
+    assert not (primed / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,given", [
+    ("laeq", ["--retention-dba", "nan"]),
+    ("exposure", ["--theta", "65", "--theta", "nan"]),
+    ("laeq", "retention_dba = nan"),
+    ("exposure", "theta = 65,nan"),
+], ids=["flag-retention", "flag-theta", "config-retention", "config-theta"])
+def test_nan_threshold_exits_2_with_one_line(small_bundle, tmp_path, capsys, command, given):
+    if isinstance(given, str):
+        conf = tmp_path / "run.conf"
+        conf.write_text(given + "\n")
+        given = ["--config", str(conf)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--in", str(small_bundle), "--out", str(out), *given]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_minus_inf_retention_is_allowed():
+    cfg = resolve_config(build_parser().parse_args(["laeq", "--retention-dba=-inf"]))
+    assert cfg.retention_dba == float("-inf")
+
+
 @pytest.mark.parametrize("key,value", [("mapping", "nearst"), ("format", "xml")])
 def test_config_choice_outside_flag_choices_exits_2(small_bundle, tmp_path, capsys, key, value):
     conf = tmp_path / "run.conf"

@@ -20,7 +20,6 @@ from airnoise.gbm import (
     TreeNode,
     evaluate,
     from_json,
-    predict,
     predict_batch,
     split_data,
     to_json,
@@ -319,22 +318,22 @@ def _stump(feature=0, split=0.0, left=-1.0, right=1.0):
 
 def test_predict_empty_ensemble_is_base():
     ens = Ensemble(base_score=42.0, learning_rate=0.1, trees=[], feature_names=["x"])
-    assert predict(ens, {"x": 5.0}) == 42.0
+    assert predict_batch(ens, [[5.0]]).tolist() == [42.0]
 
 
 def test_predict_additive_over_copies():
     tree = _stump()
     for k in (1, 2, 5):
         ens = Ensemble(base_score=10.0, learning_rate=0.1, trees=[tree] * k, feature_names=["x"])
-        assert predict(ens, {"x": 1.0}) == pytest.approx(10.0 + 0.1 * k, abs=1e-12)
+        assert predict_batch(ens, [[1.0]])[0] == pytest.approx(10.0 + 0.1 * k, abs=1e-12)
 
 
 def test_predict_missing_feature():
     ens = Ensemble(base_score=0.0, learning_rate=0.1, trees=[_stump()], feature_names=["x"])
     with pytest.raises(MissingFeature):
-        predict(ens, {"y": 1.0})
+        predict_batch(ens, [[1.0, 2.0]])
     with pytest.raises(NonFiniteFeature):
-        predict(ens, {"x": float("nan")})
+        predict_batch(ens, [[float("nan")]])
 
 
 def test_fitted_values_match_history():

@@ -1,8 +1,11 @@
 import io
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import spl_columns, spl_rows
 
 from airnoise import ingest, spl
 from airnoise.errors import AirnoiseError, DuplicateKey, MalformedRow, RangeViolation
@@ -28,10 +31,10 @@ SPL_HEADER = "nmt_id,timestamp,level_dba\n"
 def test_parse_spl_row():
     out = parse_spl(SPL_HEADER + "NMT1,2023-01-05T09:00:03,72.4\n")
     assert len(out) == 1
-    s = out[0]
-    assert s.nmt_id == "NMT1"
-    assert s.timestamp == datetime(2023, 1, 5, 9, 0, 3)
-    assert s.level == 72.4
+    assert spl_rows(out) == [("NMT1", datetime(2023, 1, 5, 9, 0, 3), 72.4)]
+    for column in (out.codes, out.times, out.levels):
+        with pytest.raises(ValueError):
+            column[0] = column[0]
 
 
 def test_parse_spl_rejects_non_numeric_level():
@@ -61,17 +64,17 @@ def test_parse_spl_order_preserved_full_hour():
     )
     out = parse_spl(SPL_HEADER + rows)
     assert len(out) == 1200
-    assert [s.timestamp for s in out] == sorted(s.timestamp for s in out)
+    assert out.times.tolist() == sorted(out.times.tolist())
 
 
 def test_empty_file_gives_empty_list():
-    assert parse_spl("") == []
+    assert spl_rows(parse_spl("")) == []
     assert parse_flights("") == []
     assert parse_weather("") == []
 
 
 def test_header_only_gives_empty_list():
-    assert parse_spl(SPL_HEADER) == []
+    assert spl_rows(parse_spl(SPL_HEADER)) == []
 
 
 def test_wrong_header_is_line_1_error():
@@ -153,14 +156,11 @@ def test_spl_round_trip_exact():
 )
 def test_spl_parse_serialize_fixpoint(rows):
     base = datetime(2023, 1, 5, 9)
-    samples = [
-        ingest.SplSample(nmt, base + timedelta(seconds=sec), level)
-        for nmt, sec, level in rows
-    ]
+    samples = [(nmt, base + timedelta(seconds=sec), level) for nmt, sec, level in rows]
     buf = io.StringIO()
-    write_spl(samples, buf)
+    write_spl(spl_columns(samples), buf)
     parsed = parse_spl(buf.getvalue())
-    assert parsed == samples
+    assert spl_rows(parsed) == samples
     buf2 = io.StringIO()
     write_spl(parsed, buf2)
     assert buf2.getvalue() == buf.getvalue()
@@ -168,7 +168,7 @@ def test_spl_parse_serialize_fixpoint(rows):
 
 def test_parsing_is_pure():
     text = SPL_HEADER + "NMT1,2023-01-05T09:00:03,72.4\n"
-    assert parse_spl(text) == parse_spl(text)
+    assert spl_rows(parse_spl(text)) == spl_rows(parse_spl(text))
 
 
 # --- validate_bundle ------------------------------------------------------------
@@ -177,14 +177,11 @@ def _tiny_bundle(window_start):
     hours = [window_start + timedelta(hours=k) for k in range(2)]
     tracts = [TractMeta("T1", "D1", (37.5, 127.0), 100, LandUse.RESIDENTIAL)]
     nmts = [NmtMeta("N1", "T1", (37.5, 127.0))]
-    spl = [
-        ingest.SplSample("N1", h + timedelta(seconds=3 * k), 70.0)
-        for h in hours
-        for k in range(3)
-    ]
+    spl = [("N1", h + timedelta(seconds=3 * k), 70.0) for h in hours for k in range(3)]
     weather = [ingest.WeatherHour(h, 1.0, 5.0, 180.0, 3) for h in hours]
     population = [ingest.PopulationRecord("T1", h, 50.0) for h in hours]
-    return Bundle(spl=spl, flights=[], weather=weather, population=population, tracts=tracts, nmts=nmts)
+    return Bundle(spl=spl_columns(spl), flights=[], weather=weather, population=population, tracts=tracts,
+                  nmts=nmts)
 
 
 def test_validate_clean_bundle_no_findings():
@@ -220,7 +217,7 @@ def test_validate_dangling_nmt():
 def test_validate_out_of_window():
     start = datetime(2023, 1, 5)
     bundle = _tiny_bundle(start)
-    bundle.spl.append(ingest.SplSample("N1", start - timedelta(hours=1), 70.0))
+    bundle = replace(bundle, spl=spl_columns(spl_rows(bundle.spl) + [("N1", start - timedelta(hours=1), 70.0)]))
     report = validate_bundle(bundle, (start, start + timedelta(hours=2)))
     assert any(f.kind == ingest.OUT_OF_WINDOW for f in report.findings)
 
@@ -235,7 +232,7 @@ def test_window_hours_closed_open():
 
 def _spl_outcome(parse):
     try:
-        return "ok", [(s.nmt_id, s.timestamp, s.level) for s in parse()]
+        return "ok", spl_rows(parse())
     except AirnoiseError as exc:
         return type(exc), str(exc)
 
@@ -309,7 +306,7 @@ def test_parse_spl_path_equals_row_parser(tmp_path):
     assert exc.value.line == n + 2
     path.write_text(SPL_HEADER + rows.replace("\n", "\r\n"), encoding="utf-8")
     out = parse_spl(path)
-    assert out == ingest._parse_spl_rows(path)
+    assert spl_rows(out) == spl_rows(ingest._parse_spl_rows(path))
     assert out.names == ("NMT0", "NMT1", "NMT2")
 
 
@@ -333,26 +330,6 @@ def test_spl_chunk_fast_path_and_fallback():
         assert spl.parse_chunk(unusual, unusual.count("\n")) is None, unusual
 
 
-def test_spl_columns_sequence():
-    samples = [
-        ingest.SplSample("N2", _BASE, 70.0),
-        ingest.SplSample("N1", _BASE + timedelta(seconds=3), 65.5),
-        ingest.SplSample("N2", _BASE + timedelta(seconds=6, microseconds=5), 0.0),
-    ]
-    cols = spl.SplColumns.from_samples(samples)
-    assert cols.names == ("N1", "N2")
-    assert len(cols) == 3 and cols == samples and samples == cols
-    assert cols[0] == samples[0] and cols[-1] == samples[-1]
-    assert isinstance(cols[0].level, float)
-    assert list(cols) == samples
-    assert cols[1:] == samples[1:] and cols[1:].names == ("N1", "N2")
-    assert cols[2:].names == ("N2",)
-    assert cols != samples[:2]
-    assert samples[1] in cols
-    with pytest.raises(ValueError):
-        cols.levels[0] = 1.0
-
-
 # --- validate_bundle: SPL findings in file order ------------------------------
 
 def test_validate_findings_order():
@@ -360,19 +337,18 @@ def test_validate_findings_order():
     window = (start, start + timedelta(hours=2))
     t = start + timedelta(minutes=5)
     u = start + timedelta(hours=1, seconds=30)
-    S = ingest.SplSample
-    spl = [
-        S("N1", t, 70.0),
-        S("N2", start + timedelta(hours=2), 71.0),     # out of window (end is open)
-        S("N2", t, 70.0),
-        S("N1", t, 72.0),                              # duplicate of row 1
-        S("N1", start - timedelta(seconds=3), 70.0),   # out of window
-        S("N1", u, 70.0),
-        S("N2", t, 60.0),                              # duplicate of row 3
-        S("N1", t, 61.0),                              # duplicate of row 1 again
-        S("N9", u, 61.0),                              # unknown terminal
-        S("N8", u, 61.0),                              # unknown terminal
-    ]
+    spl = spl_columns([
+        ("N1", t, 70.0),
+        ("N2", start + timedelta(hours=2), 71.0),     # out of window (end is open)
+        ("N2", t, 70.0),
+        ("N1", t, 72.0),                              # duplicate of row 1
+        ("N1", start - timedelta(seconds=3), 70.0),   # out of window
+        ("N1", u, 70.0),
+        ("N2", t, 60.0),                              # duplicate of row 3
+        ("N1", t, 61.0),                              # duplicate of row 1 again
+        ("N9", u, 61.0),                              # unknown terminal
+        ("N8", u, 61.0),                              # unknown terminal
+    ])
     bundle = _tiny_bundle(start)
     nmts = bundle.nmts + [NmtMeta("N2", "T1", (37.5, 127.0)), NmtMeta("N3", "T1", (37.5, 127.0))]
     population = bundle.population + [ingest.PopulationRecord(t, start, 1.0) for t in ("X3", "X1", "X2")]
@@ -412,11 +388,11 @@ def _spl_csv(samples) -> str:
 # --- write_spl: the columnar writer against the row writer ------------------------
 
 def _write_spl_rows(samples) -> str:
-    """The reference writer: one formatted row per sample."""
+    """The reference writer: one formatted row per (terminal, timestamp, level) row."""
     buf = io.StringIO()
     buf.write(SPL_HEADER)
-    for s in samples:
-        buf.write(f"{s.nmt_id},{s.timestamp.isoformat(timespec='seconds')},{float(s.level)!r}\n")
+    for nmt, ts, level in samples:
+        buf.write(f"{nmt},{ts.isoformat(timespec='seconds')},{float(level)!r}\n")
     return buf.getvalue()
 
 
@@ -436,16 +412,15 @@ _levels = st.one_of(
 @given(st.lists(st.tuples(st.sampled_from(["NMT1", "NMT10", "NMT2", "B"]), _stamps, _levels), max_size=40),
        st.integers(min_value=1, max_value=7))
 def test_write_spl_equals_row_writer(rows, chunk_rows):
-    samples = [ingest.SplSample(nmt, ts, level) for nmt, ts, level in rows]
-    expected = _write_spl_rows(samples)
-    assert _spl_csv(samples) == expected
+    expected = _write_spl_rows(rows)
+    assert _spl_csv(spl_columns(rows)) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "SPL_WRITE_ROWS", chunk_rows)
-        assert _spl_csv(spl.SplColumns.from_samples(samples)) == expected
+        assert _spl_csv(spl_columns(rows)) == expected
 
 
 def test_write_spl_path_and_empty(tmp_path):
-    sample = ingest.SplSample("N1", datetime(2023, 1, 5, 9, 0, 3, 250_000), 61.25)
-    write_spl(iter([sample]), tmp_path / "spl.csv")
+    sample = ("N1", datetime(2023, 1, 5, 9, 0, 3, 250_000), 61.25)
+    write_spl(spl_columns([sample]), tmp_path / "spl.csv")
     assert (tmp_path / "spl.csv").read_text(encoding="utf-8") == _write_spl_rows([sample])
-    assert _spl_csv([]) == SPL_HEADER
+    assert _spl_csv(spl_columns([])) == SPL_HEADER
