@@ -182,8 +182,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 # content-hash manifest for intermediate reuse
 
+# files are hashed this many bytes at a time, so that a hash holds no whole file
+_HASH_BLOCK_BYTES = 1 << 20
+
+
+def _hash_file(h, path: Path):
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK_BYTES):
+            h.update(block)
+    return h
+
+
 def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _hash_file(hashlib.sha256(), path).hexdigest()
 
 
 class Workspace:
@@ -203,7 +214,7 @@ class Workspace:
         h = hashlib.sha256()
         for part in parts:
             if isinstance(part, Path):
-                h.update(part.read_bytes())
+                _hash_file(h, part)
             else:
                 h.update(repr(part).encode("utf-8"))
             h.update(b"\x00")

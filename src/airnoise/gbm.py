@@ -119,8 +119,8 @@ class TrainConfig:
     def __post_init__(self):
         if not ROUNDS_MIN <= self.rounds_max <= ROUNDS_MAX:
             raise InvalidConfig(f"rounds_max must lie in [{ROUNDS_MIN}, {ROUNDS_MAX}]")
-        if self.lambda_ < 0 or self.gamma < 0:
-            raise InvalidConfig("lambda and gamma must be non-negative")
+        if not (self.lambda_ >= 0 and self.gamma >= 0 and self.min_child_weight >= 0):  # NaN fails too
+            raise InvalidConfig("lambda, gamma and min_child_weight must be non-negative")
         if self.max_depth < 1:
             raise InvalidConfig("max_depth must be at least 1")
 

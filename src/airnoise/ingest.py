@@ -14,20 +14,29 @@ Schemas (header row shown):
     tracts.csv:     tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use
     nmts.csv:       nmt_id,tract_id,lat,lon
 
+A line may end with ``\n``, ``\r\n`` or ``\r``, as in text mode. A byte
+that is not UTF-8 is a ``MalformedRow`` naming its line.
+
 The SPL stream, the only input that grows with the data, parses into
 columns (``spl.SplColumns``), its only form, not one object per reading.
-``parse_spl`` reads the file in chunks of about ``SPL_CHUNK_CHARS``
-characters, so the temporaries stay small and peak memory grows with the
-file only by the columns themselves. Each chunk is split once and checked
-with array operations (``spl.parse_chunk``). A chunk falls back to the row parser
-(``csv.reader``, one row at a time, which also builds the error) if it holds
-anything unusual: a quote character or a carriage return (then the row
-parser takes the rest of the file, since a quoted field may span lines), a
-blank line, a row without exactly 3 fields, a timestamp other than the
-canonical 19-character ``YYYY-MM-DDTHH:MM:SS``, a non-ASCII character, or a
-level that ``float()`` rejects or that lies outside [0, 140]. So every
-accepted input parses to the same values as the row parser, and every
-rejected one raises the same exception with the same line number.
+``parse_spl`` reads the file's bytes in blocks of ``SPL_BLOCK_BYTES``, cut
+at the last line end (the rest carries over to the next block). Each block
+is checked and parsed from its bytes with array operations
+(``spl.parse_block``); a level is read exactly, as ``float()`` would. No
+text is decoded and no Python object is made per row. A block falls back to
+the row parser (``csv.reader``, one row at a time, which also builds the
+error) if it holds anything unusual: a quote character or a carriage return
+that does not end a line (then the row parser takes the rest of the file,
+since a quoted field may span lines), a non-ASCII byte, a blank line, a row
+without exactly 3 fields, a timestamp other than the canonical
+19-character ``YYYY-MM-DDTHH:MM:SS`` of a real date, or a level outside
+[0, 140] or of any form but ``D+`` or ``D+.D+`` with at most 15 digits. So
+every accepted input parses to the same values as the row parser, and every
+rejected one raises the same exception with the same line number. A block's
+temporaries peak at about 11 times its size (6 MB for 512 KiB, by
+tracemalloc). Parsing the benchmark's 288,000-row dense file then peaks at
+12.4 MB, mostly the columns, against 11.9 MB for the text parser this one
+replaced; 1 MiB blocks would peak at 19 MB and parse no faster.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ import numpy as np
 
 from . import tables
 from .errors import DuplicateKey, MalformedRow, RangeViolation
-from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, parse_chunk
+from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, parse_block
 
 # Nominal 3-second samples in one hour; completeness is reported against this,
 # never imputed.
@@ -125,15 +134,33 @@ class Bundle:
 # low-level helpers
 
 def _text(source):
-    """``source`` as a text stream: raw bytes, CSV text, a Path, or an open
-    text stream (returned as it is)."""
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
+    """``source`` as lines of text: raw bytes, CSV text, a Path, or lines of
+    text (returned as they are). A line ends at ``\n``, ``\r\n`` or ``\r``,
+    as when a file is read in text mode."""
     if isinstance(source, Path):
-        return io.StringIO(source.read_text(encoding="utf-8"))
+        source = source.read_bytes()
+    if isinstance(source, (bytes, bytearray)):
+        return _lines([source], 1)
     if isinstance(source, str):
-        return io.StringIO(source)
+        return io.StringIO(source, newline=None)
     return source
+
+
+def _lines(blocks, lineno: int):
+    """The text lines of byte blocks of whole lines, the first being line
+    ``lineno``. A line that is not UTF-8 raises ``MalformedRow``, when it is
+    reached, so errors still come in file order."""
+    for block in blocks:
+        for line in io.BytesIO(block):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedRow(lineno, "not UTF-8 text") from None
+            lineno += 1
+            if "\r" in text:
+                yield from io.StringIO(text, newline=None)
+            else:
+                yield text
 
 
 def _rows(source, expected_header: Sequence[str]):
@@ -209,22 +236,24 @@ POPULATION_HEADER = ("tract_id", "hour_start", "defacto_count")
 TRACTS_HEADER = ("tract_id", "district_id", "centroid_lat", "centroid_lon", "resident_count", "land_use")
 NMTS_HEADER = ("nmt_id", "tract_id", "lat", "lon")
 
-# A chunk's temporaries (its field strings and digit arrays) take about 15
-# times its size. 1 MiB chunks raised the parse's peak RSS by 26 MB on a
-# 72,000-row file, against 5 MB at 128 KiB, which also parsed no slower.
-SPL_CHUNK_CHARS = 1 << 17
+# spl.csv is read this many bytes at a time, cut at the last line end (see
+# the module docstring for the memory this costs)
+SPL_BLOCK_BYTES = 1 << 19
 
 
 def parse_spl(source) -> SplColumns:
     """Parse spl.csv rows in file order, validating the level band [0, 140] dBA.
 
-    The result, or the error, is the row parser's; see the module docstring
-    for the chunked fast path and its fallback.
+    ``source`` is a Path, or the file's bytes or text. The result, or the
+    error, is the row parser's; see the module docstring for the byte-level
+    fast path and its fallback.
     """
     if isinstance(source, Path):
-        with open(source, encoding="utf-8") as fh:
-            return _parse_spl_stream(fh, SPL_CHUNK_CHARS)
-    return _parse_spl_stream(_text(source), SPL_CHUNK_CHARS)
+        with open(source, "rb") as fh:
+            return _parse_spl_stream(fh, SPL_BLOCK_BYTES)
+    if isinstance(source, str):
+        source = source.encode("utf-8")
+    return _parse_spl_stream(io.BytesIO(source), SPL_BLOCK_BYTES)
 
 
 def _parse_spl_rows(source) -> SplColumns:
@@ -234,40 +263,61 @@ def _parse_spl_rows(source) -> SplColumns:
     return columns.build()
 
 
-def _spl_fields(rows) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The terminal ids, microseconds since 1970 and levels of spl.csv rows:
-    the arguments of ``SplBuilder.add``."""
-    ids, stamps, levels = [], [], []
+def _spl_fields(rows) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The terminal ids, codes into them, microseconds since 1970 and levels
+    of spl.csv rows: the arguments of ``SplBuilder.add``."""
+    code_of: dict[str, int] = {}
+    codes, stamps, levels = [], [], []
     for lineno, (nmt_id, ts, level) in rows:
         lv = _float(level, lineno, "level")
         if not LEVEL_MIN_DBA <= lv <= LEVEL_MAX_DBA:
             raise RangeViolation(lineno, "level_dba", lv, f"[{LEVEL_MIN_DBA}, {LEVEL_MAX_DBA}]")
-        ids.append(nmt_id)
+        codes.append(code_of.setdefault(nmt_id, len(code_of)))
         stamps.append(_datetime(ts, lineno, "timestamp"))
         levels.append(lv)
-    return ids, np.array(stamps, dtype="datetime64[us]").view(np.int64), np.array(levels)
+    return (list(code_of), np.array(codes, np.intp),
+            np.array(stamps, dtype="datetime64[us]").view(np.int64), np.array(levels))
 
 
-def _parse_spl_stream(fh, chunk_chars: int) -> SplColumns:
-    first = fh.readline()
-    if '"' in first or "\r" in first:
-        return _parse_spl_rows(chain([first], fh))
+def _spl_blocks(fh, block_bytes: int):
+    """The rest of a binary stream in blocks of whole lines, read
+    ``block_bytes`` at a time; the last block may lack its line end."""
+    carry = b""
+    while data := fh.read(block_bytes):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            block, carry = carry + data[:cut], data[cut:]
+            yield block
+        else:
+            carry += data  # a line longer than a block
+    if carry:
+        yield carry
+
+
+def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
+    """``parse_spl`` of a binary stream, read ``block_bytes`` at a time."""
+    first = fh.readline().replace(b"\r\n", b"\n")
+    if b'"' in first or b"\r" in first:
+        return _parse_spl_rows(_lines(chain([first], fh), 1))
     columns = SplBuilder()
     if first:
-        _check_header(next(csv.reader([first])), SPL_HEADER)
+        _check_header(next(csv.reader(_lines([first], 1))), SPL_HEADER)
     lineno = 2
-    while lines := fh.readlines(chunk_chars):
-        text = "".join(lines)
-        if '"' in text or "\r" in text:
-            # a quoted field may span chunks: the row parser takes the rest
-            columns.add(*_spl_fields(_records(csv.reader(chain(lines, fh)), lineno, 3)))
+    blocks = _spl_blocks(fh, block_bytes)
+    for block in blocks:
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n")  # a line end, as for the row parser
+        if b'"' in block or b"\r" in block:
+            # a quoted field may span blocks: the row parser takes the rest
+            columns.add(*_spl_fields(_records(csv.reader(_lines(chain([block], blocks), lineno)), lineno, 3)))
             break
-        chunk = parse_chunk(text, len(lines))
+        chunk = parse_block(block)
         if chunk is None:
-            columns.add(*_spl_fields(_records(csv.reader(lines), lineno, 3)))
+            chunk = _spl_fields(_records(csv.reader(_lines([block], lineno)), lineno, 3))
+            lineno += block.count(b"\n")
         else:
-            columns.add(*chunk)
-        lineno += len(lines)
+            lineno += len(chunk[3])  # a row a line
+        columns.add(*chunk)
     return columns.build()
 
 

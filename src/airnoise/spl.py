@@ -7,10 +7,11 @@ sorted terminal ids), a ``datetime64[us]`` timestamp and a float64 level,
 each column read-only. It is the stream's only type: the parser returns it,
 and the writer, the validator and the LAeq stage take it.
 
-``parse_chunk`` is the fast path of ``ingest.parse_spl``: it turns one chunk
-of canonical rows into columns with array operations, or returns None when
-any row needs the row parser (see ``ingest`` for the fallback rule).
-``SplBuilder`` joins the chunks of both paths into one ``SplColumns``.
+``parse_block`` is the fast path of ``ingest.parse_spl``: it turns one block
+of the file's bytes into columns with array operations, reading each level
+exactly by Clinger's fast path, or returns None when any row needs the row
+parser (see ``ingest`` for the fallback rule). ``SplBuilder`` joins the
+blocks of both paths into one ``SplColumns``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,23 @@ LEVEL_MAX_DBA = 140.0
 
 _US_PER_HOUR = 3_600_000_000
 
-# the canonical timestamp YYYY-MM-DDTHH:MM:SS: where its separators sit, and
-# its digits
-_TS_SEPARATOR_AT = [4, 7, 10, 13, 16]
-_TS_SEPARATORS = np.frombuffer(b"--T::", np.uint8)
-_TS_DIGIT_AT = [i for i in range(19) if i not in _TS_SEPARATOR_AT]
+# bytes of a row of spl.csv
+_COMMA, _NEWLINE, _DOT, _ZERO = b",\n.0"
+# zero bytes after a block: the words read for a row with a level shorter
+# than the block's widest reach up to 21 bytes past the row's end
+_PAD = 24
+
+# the canonical timestamp YYYY-MM-DDTHH:MM:SS: its bytes less each
+# position's lowest allowed byte must not exceed the position's range
+_TS_ZERO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
+_TS_MAX = np.array([0 if c in b"-T:" else 9 for c in _TS_ZERO.tobytes()], np.uint8)
+_TS_DIGIT_AT = np.flatnonzero(_TS_MAX)
+
+# levels of at most this many digits are read on the fast path; 10^k for
+# their k <= 14 fraction digits, each exact as a double
+_LEVEL_DIGITS_MAX = 15
+_POW10 = (10 ** np.arange(_LEVEL_DIGITS_MAX)).astype(np.float64)
+_COLUMN = np.arange(_LEVEL_DIGITS_MAX + 1)
 
 
 class SplColumns:
@@ -79,53 +92,132 @@ class SplColumns:
         return order, starts, keys
 
 
-def parse_chunk(text: str, n: int):
-    """(terminal ids, microseconds since 1970, levels) of the ``n`` rows in
-    ``text``, or None when any row needs the row parser: a blank line, a
-    row without exactly 3 fields, a timestamp other than the canonical
-    ``YYYY-MM-DDTHH:MM:SS``, a non-ASCII character, or a level that
-    ``float()`` rejects or that lies outside [0, 140]."""
-    if not text.endswith("\n"):
-        text += "\n"  # the last line of the file
-    try:
-        buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    except UnicodeEncodeError:
+def parse_block(block: bytes):
+    """(terminal ids, codes into them, microseconds since 1970, levels) of
+    the rows of ``block``, or None when any row needs the row parser.
+
+    ``block`` holds whole rows, with no quote character or carriage return
+    (the caller checks these, as they decide how much of the file the row
+    parser takes); a last row may lack its line end. A non-ASCII byte gives
+    None. A row takes this path when it has exactly 3 fields, the canonical
+    timestamp ``YYYY-MM-DDTHH:MM:SS`` of a real calendar date, and a level
+    in [0, 140] of the form ``D+`` or ``D+.D+`` with at most 15 digits. Any
+    other level form (a sign, an exponent, ``_``, a space, a leading or
+    trailing dot, 16 digits or more) goes to the row parser, whose
+    ``float()`` decides it.
+
+    Such a level is read exactly (Clinger, "How to read floating point
+    numbers accurately", PLDI 1990; the fast path of Lemire, "Number parsing
+    at a gigabyte per second", arXiv:2101.11408). Its digits, the dot
+    dropped, form an integer w < 10^15 < 2^53, and its k fraction digits
+    number at most 14, since at least one digit precedes the dot. Horner's
+    rule in doubles gets w exactly, as every partial value is an integer
+    below 10^15. So w and 10^k <= 10^14 are both doubles exactly, and the
+    one IEEE division w / 10^k is the double nearest to the exact quotient,
+    which is the decimal the level spells, with ties to even. ``float()``
+    also returns the double nearest to that decimal with ties to even (it
+    is correctly rounded), so the two are the same double, bit for bit;
+    with no sign there is no -0.0.
+
+    The work is a fixed number of array passes: the separators are found
+    once in the whole block; each row's timestamp and level are read as
+    8-byte words at its own offset (one gather per word) and taken apart
+    per character column, the level by Horner's rule over its width; and
+    each terminal id is packed from its bytes, with its length, into
+    integer words. Equal packings are equal ids and only they, so ids of
+    any length, ids that are prefixes of each other and ids holding a NUL
+    byte all get their own code. Only runs of equal ids are compared
+    further, and only each distinct id becomes a Python string.
+    """
+    if not block.isascii():
         return None
-    # n newlines, each the third separator of its row: exactly 3 fields a row
-    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    if seps.size != 3 * n:
+    if not block.endswith(b"\n"):
+        block += b"\n"  # the last line of the file
+    size = len(block)
+    buf = np.frombuffer(block + bytes(_PAD), np.uint8)
+    words = np.ndarray((size + _PAD - 7,), "<u8", buf, 0, (1,))  # the 8-byte word at each offset
+
+    # n line ends, each the third separator of its row: exactly 3 fields a row
+    head = buf[:size]
+    seps = np.flatnonzero((head == _COMMA) | (head == _NEWLINE))
+    n = len(seps) // 3
+    if len(seps) != 3 * n:
         return None
-    seps = seps.reshape(n, 3)
-    if (buf[seps[:, 2]] != ord("\n")).any():
+    id_end, ts_end, line_end = seps.reshape(n, 3).T
+    if (buf[line_end] != _NEWLINE).any():
+        return None
+    ts_at = id_end + 1
+    widths = line_end - ts_end - 1  # of the level
+    if (ts_end - ts_at != 19).any() or widths.min() < 1 or widths.max() > _LEVEL_DIGITS_MAX + 1:
         return None
 
-    ts_at = seps[:, 0] + 1
-    if (seps[:, 1] - ts_at != 19).any():
+    # the bytes from each timestamp to its line end, byte q of every row in
+    # row q: one gather per 8-byte word, then a transposing copy
+    width = int(widths.max())
+    tail = np.empty((-(-(20 + width) // 8), n), "<u8")
+    for j in range(len(tail)):
+        tail[j] = words[ts_at + 8 * j]
+    chars = tail.view(np.uint8).reshape(len(tail), n, 8).transpose(0, 2, 1).reshape(-1, n)
+
+    # the timestamp: every digit and separator in place, a real date
+    ts = chars[:19] - _TS_ZERO[:, None]  # uint8: a digit's value; 0 at a separator
+    if (ts > _TS_MAX[:, None]).any():
         return None
-    ts = buf[ts_at[:, None] + np.arange(19)]
-    digits = ts[:, _TS_DIGIT_AT] - ord("0")  # uint8: a non-digit wraps above 9
-    if (ts[:, _TS_SEPARATOR_AT] != _TS_SEPARATORS).any() or (digits > 9).any():
-        return None
-    d = digits.astype(np.int64)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month, day, hour, minute, second = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
+    d = ts[_TS_DIGIT_AT].astype(np.int32)
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month, day, hour, minute, second = (d[k] * 10 + d[k + 1] for k in range(4, 14, 2))
+    # the first day of each month from the block's first to its last
     months = (year - 1970) * 12 + month - 1
-    first_day = months.astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
-    month_days = (months + 1).astype("datetime64[M]").astype("datetime64[D]").view(np.int64) - first_day
-    valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    low = int(months.min())
+    first_days = np.arange(low, int(months.max()) + 2).astype("datetime64[M]").astype("datetime64[D]").view(np.int64)
+    months -= low
+    first_day = first_days[months]
+    valid = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= first_days[months + 1] - first_day)
              & (hour <= 23) & (minute <= 59) & (second <= 59))
     if not valid.all():
         return None
     seconds = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second
 
-    fields = text.replace("\n", ",").split(",")  # 3n fields and a last empty one
-    try:
-        levels = np.fromiter(map(float, fields[2::3]), np.float64, n)
-    except ValueError:
+    # the level: digits and at most one dot, a digit first and last, at
+    # most 15 digits; then Horner's rule over its width
+    chars = chars[20:20 + width]
+    inside = _COLUMN[:width, None] < widths
+    digit = ((chars - _ZERO) <= 9) & inside
+    dot = (chars == _DOT) & inside
+    if np.count_nonzero(digit) + np.count_nonzero(dot) != widths.sum():
         return None
-    if not ((levels >= LEVEL_MIN_DBA) & (levels <= LEVEL_MAX_DBA)).all():
+    dot_at = (dot * _COLUMN[:width, None]).sum(axis=0)
+    has_dot = dot_at > 0  # a leading dot sums to 0 too, so fails the dot count
+    if np.count_nonzero(dot) != np.count_nonzero(has_dot) or (has_dot & (dot_at == widths - 1)).any() \
+            or (widths - has_dot > _LEVEL_DIGITS_MAX).any():
         return None
-    return fields[0:-1:3], seconds * 1_000_000, levels
+    w = np.zeros(n)
+    for j in range(width):
+        w = np.where(digit[j], w * 10 + (chars[j] - _ZERO), w)
+    levels = w / _POW10[np.where(has_dot, widths - 1 - dot_at, 0)]
+    if (levels > LEVEL_MAX_DBA).any():
+        return None
+
+    # the terminal ids: each packed, with its length, into 8-byte words;
+    # runs of equal packings, then the distinct ones among the runs
+    starts = np.empty(n, np.intp)
+    starts[0] = 0
+    starts[1:] = line_end[:-1] + 1
+    lengths = id_end - starts
+    packs = [lengths.astype(np.uint64)]
+    for j in range(0, int(lengths.max()), 8):
+        drop = (8 * (8 - np.clip(lengths - j, 0, 8))).astype(np.uint64)  # bits past the id's end
+        packs.append((words[np.minimum(starts + j, len(words) - 1)] << drop) >> drop)
+    new_run = np.zeros(n, bool)
+    new_run[0] = True
+    for pack in packs:
+        new_run[1:] |= pack[1:] != pack[:-1]
+    run_at = np.flatnonzero(new_run)
+    packed = np.stack([pack[run_at] for pack in packs], axis=1).view(np.dtype((np.void, 8 * len(packs))))
+    _, first, run_code = np.unique(packed.ravel(), return_index=True, return_inverse=True)
+    names = [block[starts[i]:id_end[i]].decode("ascii") for i in run_at[first].tolist()]
+    codes = np.repeat(run_code.ravel(), np.diff(np.r_[run_at, n]))
+    return names, codes, seconds * 1_000_000, levels
 
 
 class SplBuilder:
@@ -138,10 +230,10 @@ class SplBuilder:
         self.micros: list[np.ndarray] = []
         self.levels: list[np.ndarray] = []
 
-    def add(self, ids: list[str], micros: np.ndarray, levels: np.ndarray) -> None:
-        for name in set(ids).difference(self.code_of):
-            self.code_of[name] = len(self.code_of)
-        self.codes.append(np.fromiter(map(self.code_of.__getitem__, ids), np.int32, len(ids)))
+    def add(self, names: list[str], codes: np.ndarray, micros: np.ndarray, levels: np.ndarray) -> None:
+        """Append a chunk whose row i is at terminal ``names[codes[i]]``."""
+        own = [self.code_of.setdefault(name, len(self.code_of)) for name in names]
+        self.codes.append(np.array(own, np.int32)[codes])
         self.micros.append(micros)
         self.levels.append(levels)
 

@@ -19,8 +19,10 @@ def torn(request):
 
 def spl_columns(rows) -> SplColumns:
     """SPL columns of (terminal id, datetime, level) rows, in their order."""
+    names = sorted({r[0] for r in rows})
+    code = {name: i for i, name in enumerate(names)}
     columns = SplBuilder()
-    columns.add([r[0] for r in rows],
+    columns.add(names, np.array([code[r[0]] for r in rows], np.intp),
                 np.array([r[1] for r in rows], dtype="datetime64[us]").view(np.int64),
                 [r[2] for r in rows])
     return columns.build()

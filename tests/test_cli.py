@@ -490,6 +490,29 @@ def test_nan_threshold_exits_2_with_one_line(small_bundle, tmp_path, capsys, com
     assert not out.exists()
 
 
+def test_nan_or_negative_training_parameter_exits_1(small_bundle, tmp_path, capsys):
+    out = tmp_path / "out"
+    for line in ("lambda = nan", "gamma = nan", "min_child_weight = nan", "min_child_weight = -5"):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["train", "--in", str(small_bundle), "--out", str(out), "--config", str(conf)]) == 1, line
+        assert capsys.readouterr().err == "error: lambda, gamma and min_child_weight must be non-negative\n"
+        assert not list(out.glob("model_*.json")), line
+
+
+@pytest.mark.parametrize("name,line", [("spl.csv", 3), ("spl.csv", 2000), ("weather.csv", 4)])
+def test_non_utf8_input_exits_1_with_one_line(small_bundle, tmp_path, capsys, name, line):
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    lines = (bundle / name).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    (bundle / name).write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["validate", "--in", str(bundle), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {line}: not UTF-8 text" in err and err.count("\n") == 1
+
+
 def test_minus_inf_retention_is_allowed():
     cfg = resolve_config(build_parser().parse_args(["laeq", "--retention-dba=-inf"]))
     assert cfg.retention_dba == float("-inf")

@@ -2,6 +2,7 @@ import io
 from dataclasses import replace
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -232,9 +233,10 @@ def test_window_hours_closed_open():
 
 def _spl_outcome(parse):
     try:
-        return "ok", spl_rows(parse())
+        columns = parse()
     except AirnoiseError as exc:
         return type(exc), str(exc)
+    return "ok", spl_rows(columns), columns.levels.view(np.int64).tolist()  # -0.0 is not 0.0
 
 
 _BASE = datetime(2023, 1, 5, 9)
@@ -253,12 +255,20 @@ _BAD_TS = st.sampled_from([
 ])
 _GOOD_LEVEL = st.floats(min_value=0, max_value=140, allow_nan=False).map(lambda x: repr(round(x, 2)))
 _BAD_LEVEL = st.sampled_from(["abc", "141.0", "-0.5", "nan", "inf", "", "1e3"])
+# levels float() takes that the byte path hands to the row parser (0072.50
+# it reads itself), and the widest it reads
+_ODD_LEVEL = st.sampled_from([
+    "+5", " 5", "5 ", "1_0", "5.", ".5", "-0.0", "0072.50", "1e1", "72.40000000000001",
+    "140.0000000000000001", "140.00000000000", "0.0000000000001", "139.999999999999",
+])
 _NMT = st.sampled_from(["NMT1", "NMT2", "N3", "Nö4"])
+# ids of 0, 1, 8, 9 and 20 bytes, prefixes of each other, and one with a NUL
+_ID = st.sampled_from(["", "N", "N1", "N10", "NMT12345", "NMT123456", "NMT-0123456789ABCDEF", "N\x00", "N\x001"])
 
 
 @st.composite
 def _spl_text(draw):
-    rows = draw(st.lists(st.tuples(_NMT, _GOOD_TS, _GOOD_LEVEL), min_size=0, max_size=40))
+    rows = draw(st.lists(st.tuples(st.one_of(_NMT, _ID), _GOOD_TS, _GOOD_LEVEL), min_size=0, max_size=40))
     lines = [",".join(r) + "\n" for r in rows]
     for _ in range(draw(st.integers(0, 2))):
         if not lines:
@@ -274,6 +284,7 @@ def _spl_text(draw):
             f"{nmt},{draw(_ODD_TS)},{level}\n",        # non-canonical timestamp
             f"{nmt},{draw(_BAD_TS)},{level}\n",        # bad timestamp
             f"{nmt},{ts},{draw(_BAD_LEVEL)}\n",        # bad level
+            f"{nmt},{ts},{draw(_ODD_LEVEL)}\n",        # level for float()
             f"{nmt},{ts}\n",                           # 2 fields
             f"{nmt},{ts},{level},x\n",                 # 4 fields
             f" {nmt},{ts}, {level}\n",                 # padded fields
@@ -285,20 +296,22 @@ def _spl_text(draw):
 
 
 @given(_spl_text(), st.integers(min_value=1, max_value=300))
-def test_parse_spl_equals_row_parser(text, chunk_chars):
+def test_parse_spl_equals_row_parser(text, block_bytes):
     expected = _spl_outcome(lambda: ingest._parse_spl_rows(text))
-    # small chunks put the unusual row at a random line of a multi-chunk file
-    assert _spl_outcome(lambda: ingest._parse_spl_stream(io.StringIO(text), chunk_chars)) == expected
+    # small blocks put the unusual row at a random line of a multi-block file
+    data = text.encode("utf-8")
+    assert _spl_outcome(lambda: ingest._parse_spl_stream(io.BytesIO(data), block_bytes)) == expected
     assert _spl_outcome(lambda: parse_spl(text)) == expected
+    assert _spl_outcome(lambda: parse_spl(data)) == expected
 
 
 def test_parse_spl_path_equals_row_parser(tmp_path):
-    n = 10_000  # about 300 kB: more than one chunk
+    n = 20_000  # about 600 kB: more than one block
     rows = "".join(
         f"NMT{k % 3},{(_BASE + timedelta(seconds=3 * k)).isoformat()},{40 + (k % 700) / 10}\n"
         for k in range(n)
     )
-    assert len(rows) > ingest.SPL_CHUNK_CHARS
+    assert len(rows) > ingest.SPL_BLOCK_BYTES
     path = tmp_path / "spl.csv"
     path.write_text(SPL_HEADER + rows + "NMT1,2023-01-05T09:00:03,140.5\n", encoding="utf-8")
     with pytest.raises(RangeViolation) as exc:
@@ -310,24 +323,79 @@ def test_parse_spl_path_equals_row_parser(tmp_path):
     assert out.names == ("NMT0", "NMT1", "NMT2")
 
 
-def test_spl_chunk_fast_path_and_fallback():
-    ok = "NMT1,2023-01-05T09:00:03,72.4\nNMT2,2023-01-05T09:00:06,61.25\n"
-    ids, micros, levels = spl.parse_chunk(ok, 2)
-    assert ids == ["NMT1", "NMT2"]
-    assert levels.tolist() == [72.4, 61.25]
-    assert micros.view("datetime64[us]").tolist() == [datetime(2023, 1, 5, 9, 0, 3), datetime(2023, 1, 5, 9, 0, 6)]
+def test_spl_block_fast_path_and_fallback():
+    ok = b"NMT1,2023-01-05T09:00:03,72.4\nNMT2,2023-01-05T09:00:06,61.25\nNMT1,2023-01-05T09:00:06,0"
+    names, codes, micros, levels = spl.parse_block(ok)
+    assert [names[c] for c in codes] == ["NMT1", "NMT2", "NMT1"]
+    assert levels.tolist() == [72.4, 61.25, 0.0]
+    assert micros.view("datetime64[us]").tolist() == [
+        datetime(2023, 1, 5, 9, 0, 3), datetime(2023, 1, 5, 9, 0, 6), datetime(2023, 1, 5, 9, 0, 6)]
     for unusual in (
-        "NMT1,2023-01-05T09:00:03,72.4\n\n",           # blank line
-        "NMT1,2023-01-05T09:00:03\n",                  # 2 fields
-        "NMT1,2023-01-05T09:00:03,72.4,1\n",           # 4 fields
-        "NMT1,2023-01-05 09:00:03,72.4\n",             # space separator
-        "NMT1,2023-01-05T09:00:03.5,72.4\n",           # fractional seconds
-        "NMT1,2023-02-29T09:00:03,72.4\n",             # no such day
-        "NMT1,2023-01-05T09:00:03,abc\n",              # not a number
-        "NMT1,2023-01-05T09:00:03,140.01\n",           # above the band
-        "NMTé,2023-01-05T09:00:03,72.4\n",             # non-ASCII
+        b"NMT1,2023-01-05T09:00:03,72.4\n\n",           # blank line
+        b"NMT1,2023-01-05T09:00:03\n",                  # 2 fields
+        b"NMT1,2023-01-05T09:00:03,72.4,1\n",           # 4 fields
+        b"NMT1,2023-01-05 09:00:03,72.4\n",             # space separator
+        b"NMT1,2023-01-05T09:00:03.5,72.4\n",           # fractional seconds
+        b"NMT1,2023-02-29T09:00:03,72.4\n",             # no such day
+        b"NMT1,0000-01-05T09:00:03,72.4\n",             # no year 0
+        b"NMT1,2023-01-05T09:00:03,abc\n",              # not a number
+        b"NMT1,2023-01-05T09:00:03,140.01\n",           # above the band
+        "NMTé,2023-01-05T09:00:03,72.4\n".encode(),    # non-ASCII
+        *(f"NMT1,2023-01-05T09:00:03,{level}\n".encode() for level in (
+            "+5", " 5", "5 ", "1_0", "5.", ".5", "-0.0", "1e1", "72.40000000000001", "1.2.3", "",
+        )),
     ):
-        assert spl.parse_chunk(unusual, unusual.count("\n")) is None, unusual
+        assert spl.parse_block(unusual) is None, unusual
+
+
+def test_spl_block_ids_get_distinct_codes():
+    ids = ["", "N", "N1", "N10", "NMT12345", "NMT123456", "NMT-0123456789ABCDEF", "N\x00", "N\x001", "N1", ""]
+    block = "".join(f"{nmt},2023-01-05T09:00:03,1\n" for nmt in ids).encode()
+    names, codes, _, _ = spl.parse_block(block)
+    assert [names[c] for c in codes] == ids
+    assert sorted(names) == sorted(set(ids))
+
+
+@given(st.integers(0, 140), st.text("0123456789", max_size=14), st.integers(0, 3))
+def test_spl_block_level_is_float(whole, fraction, zeros):
+    # D+ or D+.D+ with at most 15 digits: the double float() gives, bit for bit
+    level = "0" * zeros + str(whole)
+    if fraction:
+        level += "." + fraction
+    if len(level.replace(".", "")) > 15 or float(level) > 140:
+        return
+    chunk = spl.parse_block(f"NMT1,2023-01-05T09:00:03,{level}\n".encode())
+    assert chunk is not None, level
+    assert chunk[3].view(np.int64).tolist() == [np.float64(float(level)).view(np.int64)], level
+
+
+@pytest.mark.parametrize("block_bytes", [64, ingest.SPL_BLOCK_BYTES])
+def test_non_utf8_spl_byte_is_a_malformed_row(block_bytes):
+    rows = [f"NMT1,2023-01-05T09:00:{s:02d},72.4\n".encode() for s in range(0, 60, 3)]
+    for bad, line in (
+        (b"NMT\xff,2023-01-05T09:00:03,72.4\n", 5),       # in a block the byte path would take
+        (b'"NMT1",2023-01-05T09:00:03,72\xff\n', 7),      # after a quote: the row parser's
+    ):
+        data = SPL_HEADER.encode() + b"".join(rows[:line - 2]) + bad + b"".join(rows[line - 2:])
+        for parse in (lambda: ingest._parse_spl_stream(io.BytesIO(data), block_bytes),
+                      lambda: ingest._parse_spl_rows(data)):
+            with pytest.raises(MalformedRow) as exc:
+                parse()
+            assert exc.value.line == line
+    quoted = SPL_HEADER.encode() + b'"NMT1",2023-01-05T09:00:03,72.4\n' + b"".join(rows[:3]) + b"N\xfe,x,y\n"
+    with pytest.raises(MalformedRow) as exc:
+        ingest._parse_spl_stream(io.BytesIO(quoted), block_bytes)
+    assert exc.value.line == 6
+
+
+def test_non_utf8_csv_byte_is_a_malformed_row(tmp_path):
+    path = tmp_path / "weather.csv"
+    path.write_bytes(b"hour_start,temperature_c,wind_speed_kt,wind_direction_deg,cloud_cover_tenths\n"
+                     b"2023-01-05T09:00,1.0,2.0,30.0,3\n"
+                     b"2023-01-05T10:00,1.0,2.0,30.0,3\xfe\n")
+    with pytest.raises(MalformedRow) as exc:
+        parse_weather(path)
+    assert exc.value.line == 3
 
 
 # --- validate_bundle: SPL findings in file order ------------------------------
