@@ -137,10 +137,12 @@ def parse_block(block: bytes):
     buf = np.frombuffer(block + bytes(_PAD), np.uint8)
     words = np.ndarray((size + _PAD - 7,), "<u8", buf, 0, (1,))  # the 8-byte word at each offset
 
-    # n line ends, each the third separator of its row: exactly 3 fields a row
+    # n line ends, 3n separators, each row's third one a line end: so the
+    # other two are commas, and every line has exactly 3 fields
     head = buf[:size]
-    seps = np.flatnonzero((head == _COMMA) | (head == _NEWLINE))
-    n = len(seps) // 3
+    line_ends = head == _NEWLINE
+    seps = np.flatnonzero((head == _COMMA) | line_ends)
+    n = np.count_nonzero(line_ends)
     if len(seps) != 3 * n:
         return None
     id_end, ts_end, line_end = seps.reshape(n, 3).T

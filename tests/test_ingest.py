@@ -288,6 +288,8 @@ def _spl_text(draw):
             f"{nmt},{ts}\n",                           # 2 fields
             f"{nmt},{ts},{level},x\n",                 # 4 fields
             f" {nmt},{ts}, {level}\n",                 # padded fields
+            f"{nmt},{ts}\n{level}\n",                  # level wrapped onto a line
+            f"{nmt}\n{ts}\n{level}\n",                 # a line a field
         ]))
     text = SPL_HEADER + "".join(lines)
     if draw(st.booleans()):
@@ -334,6 +336,9 @@ def test_spl_block_fast_path_and_fallback():
         b"NMT1,2023-01-05T09:00:03,72.4\n\n",           # blank line
         b"NMT1,2023-01-05T09:00:03\n",                  # 2 fields
         b"NMT1,2023-01-05T09:00:03,72.4,1\n",           # 4 fields
+        b"N1,2023-01-05T09:00:03\n50\n",                # level wrapped onto a line
+        b"N1\n2023-01-05T09:00:03\n50\n",               # a line a field
+        b"N1\n2023-01-05T09:00:03,50\n",                # id on a line of its own
         b"NMT1,2023-01-05 09:00:03,72.4\n",             # space separator
         b"NMT1,2023-01-05T09:00:03.5,72.4\n",           # fractional seconds
         b"NMT1,2023-02-29T09:00:03,72.4\n",             # no such day
