@@ -24,11 +24,15 @@ longer asked for, and every `Run` subcommand but report removes report.json,
 so --out never holds a stale copy.
 
 Configuration comes from a plain key=value file (--config) overridden by
-flags. All randomness derives from the single --seed through named
+flags. Each setting is declared once, in CONFIG_KEYS, which also builds its
+flag; a flag's text goes through the same converter as the key's value in the
+file. All randomness derives from the single --seed through named
 sub-streams, so adding a consumer never perturbs the others.
 
 Exit status: 0 on success, 1 on error-severity validation findings or data
-errors (a missing input file among them), 2 on usage errors.
+errors (a missing input file among them), 2 on usage errors, each reported in
+one line: a bad flag or config value, an unknown flag or subcommand, and a
+missing subcommand among them.
 
 `train`, `explain` and `report` fit the last model of MODEL_TARGETS in one
 forked worker while this process fits the others, when more than one CPU is
@@ -48,7 +52,7 @@ import os
 import signal
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -99,7 +103,7 @@ class RunConfig:
 
 
 def _choice(choices: tuple[str, ...]):
-    """A converter that accepts only ``choices``, as the matching flag does."""
+    """A converter that accepts only ``choices``."""
     def convert(value: str) -> str:
         if value not in choices:
             raise ValueError(value)
@@ -107,24 +111,33 @@ def _choice(choices: tuple[str, ...]):
     return convert
 
 
+# Every setting, declared once: its RunConfig field, the converter of its text
+# (from a flag and from the config file alike), and the help text of its flag.
+# The keys with no help are set only in the config file. Every subcommand but
+# synth takes --in, and only synth takes --days.
 CONFIG_KEYS = {
-    "in": ("in_dir", Path),
-    "out": ("out_dir", Path),
-    "seed": ("seed", int),
-    "days": ("days", int),
-    "theta": ("thresholds", lambda s: tuple(float(v) for v in s.split(","))),
-    "retention_dba": ("retention_dba", float),
-    "window_start": ("window_start", datetime.fromisoformat),
-    "window_end": ("window_end", datetime.fromisoformat),
-    "mapping": ("mapping", _choice(MAPPINGS)),
-    "format": ("out_format", _choice(FORMATS)),
-    "rounds_max": ("rounds_max", int),
-    "max_depth": ("max_depth", int),
-    "lambda": ("lambda_", float),
-    "gamma": ("gamma", float),
-    "min_child_weight": ("min_child_weight", float),
-    "patience": ("patience", int),
+    "in": ("in_dir", Path, "input directory with the six CSV schemas"),
+    "out": ("out_dir", Path, "output directory"),
+    "seed": ("seed", int, "run seed; all randomness derives from it"),
+    "theta": ("thresholds", lambda s: tuple(float(v) for v in s.split(",")),
+              "exposure threshold in dBA (repeatable, or comma-separated)"),
+    "retention_dba": ("retention_dba", float, "sample retention threshold in dBA"),
+    "window_start": ("window_start", datetime.fromisoformat, "study window start (ISO hour)"),
+    "window_end": ("window_end", datetime.fromisoformat, "study window end, exclusive (ISO hour)"),
+    "mapping": ("mapping", _choice(MAPPINGS), f"tract-to-terminal mapping mode: {' or '.join(MAPPINGS)}"),
+    "format": ("out_format", _choice(FORMATS), f"tabular artifact format: {' or '.join(FORMATS)}"),
+    "days": ("days", int, "scenario length in days"),
+    "rounds_max": ("rounds_max", int, None),
+    "max_depth": ("max_depth", int, None),
+    "lambda": ("lambda_", float, None),
+    "gamma": ("gamma", float, None),
+    "min_child_weight": ("min_child_weight", float, None),
+    "patience": ("patience", int, None),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def load_config_file(path: Path) -> dict:
@@ -144,7 +157,7 @@ def load_config_file(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise MalformedConfig(f"{path}:{lineno}: unknown key {key!r}")
-        attr, conv = CONFIG_KEYS[key]
+        attr, conv, _ = CONFIG_KEYS[key]
         out[attr] = _convert(conv, value, f"{path}:{lineno}: {key}")
     return out
 
@@ -159,21 +172,20 @@ def _convert(conv, value: str, where: str):
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by every flag given. A flag's dest
-    is its key's RunConfig field; a string value goes through the key's
-    converter."""
+    is its key's RunConfig field, and its text goes through the key's
+    converter, as the file's does; the values of a repeated flag (--theta) are
+    joined with commas first."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config_file(Path(args.config)))
     overrides = {}
-    for key, (attr, conv) in CONFIG_KEYS.items():
+    for key, (attr, conv, _) in CONFIG_KEYS.items():
         value = getattr(args, attr, None)
-        if isinstance(value, str):
-            value = _convert(conv, value, "--" + key.replace("_", "-"))
+        if isinstance(value, list):
+            value = ",".join(value)
         if value is not None:
-            overrides[attr] = value
+            overrides[attr] = _convert(conv, value, _flag(key))
     cfg = replace(cfg, **overrides)
-    if not cfg.thresholds:
-        raise InvalidConfig("at least one --theta is required")
     if np.isnan([cfg.retention_dba, *cfg.thresholds]).any():
         raise UsageError("retention_dba and theta must not be NaN")
     return replace(cfg, thresholds=tuple(sorted(set(cfg.thresholds))))
@@ -186,15 +198,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 _HASH_BLOCK_BYTES = 1 << 20
 
 
-def _hash_file(h, path: Path):
+def _file_sha256(path: Path) -> str:
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(_HASH_BLOCK_BYTES):
             h.update(block)
-    return h
-
-
-def _file_sha256(path: Path) -> str:
-    return _hash_file(hashlib.sha256(), path).hexdigest()
+    return h.hexdigest()
 
 
 class Workspace:
@@ -211,14 +220,10 @@ class Workspace:
         self.manifest = manifest if isinstance(manifest, dict) else {}  # anything else counts as empty
 
     def digest(self, *parts) -> str:
-        h = hashlib.sha256()
-        for part in parts:
-            if isinstance(part, Path):
-                _hash_file(h, part)
-            else:
-                h.update(repr(part).encode("utf-8"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        """The sha256 of the repr of ``parts``, each file among them replaced by
+        the sha256 of its bytes, so that no two different inputs share it."""
+        named = [_file_sha256(p) if isinstance(p, Path) else p for p in parts]
+        return hashlib.sha256(repr(named).encode("utf-8")).hexdigest()
 
     def stage(self, name: str, parts, outputs: list[Path], load, compute):
         """The result of a cached stage. If the stage last ran on the digest of
@@ -253,9 +258,8 @@ def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime
     if start is None or end is None:
         if not weather:
             raise InvalidConfig("cannot infer the study window from an empty weather stream")
-        hours = sorted(w.hour_start for w in weather)
-        start = hours[0] if start is None else start
-        end = hours[-1] + timedelta(hours=1) if end is None else end
+        start = start or min(w.hour_start for w in weather)
+        end = end or max(w.hour_start for w in weather) + timedelta(hours=1)
     if start >= end:
         raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
     return (start, end)
@@ -626,10 +630,7 @@ def cmd_validate(args) -> int:
     window = _window(cfg, bundle.weather)
     report = ingest.validate_bundle(bundle, window)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    findings = [
-        {"stream": f.stream, "kind": f.kind, "key": f.key, "detail": f.detail, "severity": f.severity}
-        for f in report.findings
-    ]
+    findings = [asdict(f) for f in report.findings]
     tables.write_json(cfg.out_dir / "findings.json", {"findings": findings, "streams_checked": 6})
     print(f"validate: {report.error_count} finding(s) across 6 streams")
     return 1 if report.error_count else 0
@@ -736,36 +737,21 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises each usage error as ``UsageError``, for
+    ``main`` to report in one line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="airnoise",
-        description="Hourly aircraft-noise exposure analytics pipeline",
-    )
+    """One subparser per subcommand, whose flags are ``--config`` and those of
+    CONFIG_KEYS. Every flag keeps its text; ``resolve_config`` converts it."""
+    parser = _Parser(prog="airnoise", description="Hourly aircraft-noise exposure analytics pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_in=True):
-        if needs_in:
-            p.add_argument("--in", dest="in_dir", help="input directory with the six CSV schemas")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--config", help="key=value configuration file (flags win)")
-        p.add_argument("--seed", type=int, help="run seed; all randomness derives from it")
-        p.add_argument("--theta", dest="thresholds", type=float, action="append",
-                       help="exposure threshold in dBA (repeatable)")
-        p.add_argument("--retention-dba", dest="retention_dba", type=float,
-                       help="sample retention threshold in dBA")
-        p.add_argument("--window-start", dest="window_start", help="study window start (ISO hour)")
-        p.add_argument("--window-end", dest="window_end", help="study window end, exclusive (ISO hour)")
-        p.add_argument("--mapping", choices=MAPPINGS,
-                       help="tract-to-terminal mapping mode")
-        p.add_argument("--format", dest="out_format", choices=FORMATS,
-                       help="tabular artifact format")
-
-    p = sub.add_parser("synth", help="generate a synthetic input bundle")
-    common(p, needs_in=False)
-    p.add_argument("--days", type=int, help="scenario length in days")
-    p.set_defaults(func=cmd_synth)
-
     for name, func, help_text in (
+        ("synth", cmd_synth, "generate a synthetic input bundle"),
         ("validate", cmd_validate, "cross-validate the input bundle"),
         ("laeq", cmd_laeq, "aggregate samples into hourly levels"),
         ("fuse", cmd_fuse, "fuse population and levels; build the feature table"),
@@ -775,22 +761,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", cmd_report, "full pipeline into report.json"),
     ):
         p = sub.add_parser(name, help=help_text)
-        common(p)
         p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value configuration file (flags win)")
+        skip = "in" if name == "synth" else "days"
+        for key, (attr, _, flag_help) in CONFIG_KEYS.items():
+            if flag_help is not None and key != skip:
+                p.add_argument(_flag(key), dest=attr, action="append" if key == "theta" else "store", help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AirnoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     except OSError as exc:  # a missing or unreadable file, named in one line
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 1

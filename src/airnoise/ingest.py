@@ -15,7 +15,8 @@ Schemas (header row shown):
     nmts.csv:       nmt_id,tract_id,lat,lon
 
 A line may end with ``\n``, ``\r\n`` or ``\r``, as in text mode. A byte
-that is not UTF-8 is a ``MalformedRow`` naming its line.
+that is not UTF-8, or a field over the csv module's size limit, is a
+``MalformedRow`` naming its line; a row's line is the last it spans.
 
 The SPL stream, the only input that grows with the data, parses into
 columns (``spl.SplColumns``), its only form, not one object per reading.
@@ -27,16 +28,17 @@ text is decoded and no Python object is made per row. A block falls back to
 the row parser (``csv.reader``, one row at a time, which also builds the
 error) if it holds anything unusual: a quote character or a carriage return
 that does not end a line (then the row parser takes the rest of the file,
-since a quoted field may span lines), a non-ASCII byte, a blank line, a row
-without exactly 3 fields, a timestamp other than the canonical
-19-character ``YYYY-MM-DDTHH:MM:SS`` of a real date, or a level outside
-[0, 140] or of any form but ``D+`` or ``D+.D+`` with at most 15 digits. So
-every accepted input parses to the same values as the row parser, and every
-rejected one raises the same exception with the same line number. A block's
-temporaries peak at about 11 times its size (6 MB for 512 KiB, by
-tracemalloc). Parsing the benchmark's 288,000-row dense file then peaks at
-12.4 MB, mostly the columns, against 11.9 MB for the text parser this one
-replaced; 1 MiB blocks would peak at 19 MB and parse no faster.
+since a quoted field may span lines), a non-ASCII byte, a blank line, an id
+over the csv field size limit, a row without exactly 3 fields, a timestamp
+other than the canonical 19-character ``YYYY-MM-DDTHH:MM:SS`` of a real
+date, or a level outside [0, 140] or of any form but ``D+`` or ``D+.D+``
+with at most 15 digits. So every accepted input parses to the same values
+as the row parser, and every rejected one raises the same exception with
+the same line number. A block's temporaries peak at about 11 times its size
+(6 MB for 512 KiB, by tracemalloc). Parsing the benchmark's 288,000-row
+dense file then peaks at 12.4 MB, mostly the columns, against 11.9 MB for
+the text parser this one replaced; 1 MiB blocks would peak at 19 MB and
+parse no faster.
 """
 
 from __future__ import annotations
@@ -133,44 +135,52 @@ class Bundle:
 # ---------------------------------------------------------------------------
 # low-level helpers
 
-def _text(source):
-    """``source`` as lines of text: raw bytes, CSV text, a Path, or lines of
-    text (returned as they are). A line ends at ``\n``, ``\r\n`` or ``\r``,
-    as when a file is read in text mode."""
+def _blocks(source):
+    """``source`` as byte blocks of whole lines: a Path, raw bytes, CSV text,
+    or such blocks (returned as they are)."""
     if isinstance(source, Path):
-        source = source.read_bytes()
-    if isinstance(source, (bytes, bytearray)):
-        return _lines([source], 1)
+        return [source.read_bytes()]
     if isinstance(source, str):
-        return io.StringIO(source, newline=None)
-    return source
+        return [source.encode("utf-8")]
+    return [source] if isinstance(source, (bytes, bytearray)) else source
 
 
 def _lines(blocks, lineno: int):
-    """The text lines of byte blocks of whole lines, the first being line
-    ``lineno``. A line that is not UTF-8 raises ``MalformedRow``, when it is
-    reached, so errors still come in file order."""
+    """The lines of byte blocks of whole lines, the first being line ``lineno``,
+    as text ending in ``\n``, where a line ends at ``\n``, ``\r\n`` or ``\r``.
+    A line that is not UTF-8 raises ``MalformedRow`` when it is reached."""
     for block in blocks:
+        if b"\r" in block:  # no block ends between the two bytes of \r\n
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         for line in io.BytesIO(block):
             try:
-                text = line.decode("utf-8")
+                yield line.decode("utf-8")
             except UnicodeDecodeError:
                 raise MalformedRow(lineno, "not UTF-8 text") from None
             lineno += 1
-            if "\r" in text:
-                yield from io.StringIO(text, newline=None)
-            else:
-                yield text
+
+
+def _csv_rows(blocks, lineno: int):
+    """(line number, fields) of each CSV row in byte blocks of whole lines,
+    the first being line ``lineno``. A row's number is that of its last line,
+    as a quoted field may span lines. A row the csv module rejects (a field
+    over its size limit) raises ``MalformedRow``."""
+    reader = csv.reader(_lines(blocks, lineno))
+    try:
+        for fields in reader:
+            yield lineno - 1 + reader.line_num, fields
+    except csv.Error as exc:
+        raise MalformedRow(lineno - 1 + reader.line_num, str(exc)) from None
 
 
 def _rows(source, expected_header: Sequence[str]):
     """Yield (line_number, fields) for each data row, checking the header."""
-    reader = csv.reader(_text(source))
-    header = next(reader, None)
+    rows = _csv_rows(_blocks(source), 1)
+    header = next(rows, None)
     if header is None:
         return  # empty file: no header required, no rows
-    _check_header(header, expected_header)
-    yield from _records(reader, 2, len(expected_header))
+    _check_header(header[1], expected_header)
+    yield from _records(rows, len(expected_header))
 
 
 def _check_header(header: list[str], expected: Sequence[str]) -> None:
@@ -178,8 +188,8 @@ def _check_header(header: list[str], expected: Sequence[str]) -> None:
         raise MalformedRow(1, f"expected header {','.join(expected)}")
 
 
-def _records(reader, first_line: int, n_fields: int):
-    for lineno, fields in enumerate(reader, start=first_line):
+def _records(rows, n_fields: int):
+    for lineno, fields in rows:
         if not fields:
             continue
         if len(fields) != n_fields:
@@ -298,10 +308,10 @@ def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
     """``parse_spl`` of a binary stream, read ``block_bytes`` at a time."""
     first = fh.readline().replace(b"\r\n", b"\n")
     if b'"' in first or b"\r" in first:
-        return _parse_spl_rows(_lines(chain([first], fh), 1))
+        return _parse_spl_rows(chain([first], fh))
     columns = SplBuilder()
     if first:
-        _check_header(next(csv.reader(_lines([first], 1))), SPL_HEADER)
+        _check_header(next(_csv_rows([first], 1))[1], SPL_HEADER)
     lineno = 2
     blocks = _spl_blocks(fh, block_bytes)
     for block in blocks:
@@ -309,11 +319,11 @@ def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
             block = block.replace(b"\r\n", b"\n")  # a line end, as for the row parser
         if b'"' in block or b"\r" in block:
             # a quoted field may span blocks: the row parser takes the rest
-            columns.add(*_spl_fields(_records(csv.reader(_lines(chain([block], blocks), lineno)), lineno, 3)))
+            columns.add(*_spl_fields(_records(_csv_rows(chain([block], blocks), lineno), 3)))
             break
         chunk = parse_block(block)
         if chunk is None:
-            chunk = _spl_fields(_records(csv.reader(_lines([block], lineno)), lineno, 3))
+            chunk = _spl_fields(_records(_csv_rows([block], lineno), 3))
             lineno += block.count(b"\n")
         else:
             lineno += len(chunk[3])  # a row a line

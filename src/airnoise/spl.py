@@ -16,6 +16,7 @@ blocks of both paths into one ``SplColumns``.
 
 from __future__ import annotations
 
+import csv
 from collections.abc import Sequence
 from datetime import datetime, timedelta
 
@@ -96,15 +97,15 @@ def parse_block(block: bytes):
     """(terminal ids, codes into them, microseconds since 1970, levels) of
     the rows of ``block``, or None when any row needs the row parser.
 
-    ``block`` holds whole rows, with no quote character or carriage return
-    (the caller checks these, as they decide how much of the file the row
-    parser takes); a last row may lack its line end. A non-ASCII byte gives
-    None. A row takes this path when it has exactly 3 fields, the canonical
-    timestamp ``YYYY-MM-DDTHH:MM:SS`` of a real calendar date, and a level
-    in [0, 140] of the form ``D+`` or ``D+.D+`` with at most 15 digits. Any
-    other level form (a sign, an exponent, ``_``, a space, a leading or
-    trailing dot, 16 digits or more) goes to the row parser, whose
-    ``float()`` decides it.
+    ``block`` holds whole rows, with no quote character or carriage return (the
+    caller checks these, as they decide how much of the file the row parser
+    takes); a last row may lack its line end. A non-ASCII byte, or an id over
+    the csv module's field size limit, gives None. A row takes this path when
+    it has exactly 3 fields, the canonical timestamp ``YYYY-MM-DDTHH:MM:SS`` of
+    a real calendar date, and a level in [0, 140] of the form ``D+`` or
+    ``D+.D+`` with at most 15 digits. Any other level form (a sign, an
+    exponent, ``_``, a space, a leading or trailing dot, 16 digits or more)
+    goes to the row parser, whose ``float()`` decides it.
 
     Such a level is read exactly (Clinger, "How to read floating point
     numbers accurately", PLDI 1990; the fast path of Lemire, "Number parsing
@@ -206,6 +207,8 @@ def parse_block(block: bytes):
     starts[0] = 0
     starts[1:] = line_end[:-1] + 1
     lengths = id_end - starts
+    if lengths.max() > csv.field_size_limit():  # the row parser's error
+        return None
     packs = [lengths.astype(np.uint64)]
     for j in range(0, int(lengths.max()), 8):
         drop = (8 * (8 - np.clip(lengths - j, 0, 8))).astype(np.uint64)  # bits past the id's end

@@ -24,22 +24,60 @@ def small_bundle(tmp_path_factory):
     return data
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    assert main(["frobnicate"]) == 2
+    _one_error_line(capsys)
 
 
-def test_missing_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_missing_subcommand_exits_2(capsys):
+    assert main([]) == 2
+    _one_error_line(capsys)
 
 
-def test_bad_flag_value_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["exposure", "--theta", "not-a-number"])
-    assert exc.value.code == 2
+def test_bad_flag_value_exits_2(capsys):
+    assert main(["exposure", "--theta", "not-a-number"]) == 2
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["report", "--seed", "abc"], "error: --seed: invalid value 'abc'\n"),
+    (["report", "--theta", "x"], "error: --theta: invalid value 'x'\n"),
+    (["report", "--theta", "65", "--theta", ""], "error: --theta: invalid value '65,'\n"),
+    (["report", "--mapping", "foo"], "error: --mapping: invalid value 'foo'\n"),
+    (["report", "--format", "xml"], "error: --format: invalid value 'xml'\n"),
+    (["report", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+    (["synth", "--in", "data"], "error: unrecognized arguments: --in data\n"),
+    (["report", "--days", "3"], "error: unrecognized arguments: --days 3\n"),
+    (["report", "--seed"], "error: argument --seed: expected one argument\n"),
+], ids=["seed", "theta", "empty-theta", "mapping", "format", "unknown-flag", "synth-in", "report-days", "no-value"])
+def test_usage_error_is_one_line(capsys, argv, message):
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == message
+
+
+def test_subcommand_flag_sets():
+    flags = {name: {o for a in p._actions for o in a.option_strings}
+             for name, p in build_parser()._subparsers._group_actions[0].choices.items()}
+    common = {"-h", "--help", "--config", "--out", "--seed", "--theta", "--retention-dba", "--window-start",
+              "--window-end", "--mapping", "--format"}
+    assert flags.pop("synth") == common | {"--days"}
+    assert all(given == common | {"--in"} for given in flags.values())
+
+
+def test_theta_flag_reads_as_the_config_key(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("theta = 70,65\n")
+    from_file = resolve_config(build_parser().parse_args(["exposure", "--config", str(conf)]))
+    for argv in (["--theta", "70,65"], ["--theta", "70", "--theta", "65"], ["--theta=65,70", "--theta", "65"]):
+        assert resolve_config(build_parser().parse_args(["exposure", *argv])) == from_file
+    assert from_file.thresholds == (65.0, 70.0)
 
 
 def test_theta_sorted_and_deduplicated():
@@ -229,6 +267,32 @@ def _copy_bundle(src, dest):
     for name in ("spl.csv", "flights.csv", "weather.csv", "population.csv", "tracts.csv", "nmts.csv"):
         (dest / name).write_bytes((src / name).read_bytes())
     return dest
+
+
+def test_bytes_moved_between_stage_inputs_are_a_miss(small_bundle, tmp_path, capsys):
+    """Each input file of a stage enters its digest apart: moving the head of
+    tracts.csv onto the end of population.csv, across a NUL, is a change."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    out = tmp_path / "out"
+    tracts = (bundle / "tracts.csv").read_bytes()
+    cut = tracts.index(b",perimeter") + len(b",perimeter")
+    head, tail = tracts[:cut], tracts[cut:]
+    (bundle / "tracts.csv").write_bytes(head + b"\x00" + tail)
+    assert main(["fuse", "--in", str(bundle), "--out", str(out)]) == 0
+    population = bundle / "population.csv"
+    population.write_bytes(population.read_bytes() + b"\x00" + head)
+    (bundle / "tracts.csv").write_bytes(tail)
+    capsys.readouterr()
+    assert main(["fuse", "--in", str(bundle), "--out", str(out)]) == 1
+    assert _one_error_line(capsys).startswith("error: line 1: expected header tract_id,")
+
+
+def test_empty_weather_without_a_window_exits_1_with_one_line(small_bundle, tmp_path, capsys):
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    (bundle / "weather.csv").write_bytes(b"")
+    capsys.readouterr()
+    assert main(["fuse", "--in", str(bundle), "--out", str(tmp_path / "out")]) == 1
+    assert _one_error_line(capsys) == "error: cannot infer the study window from an empty weather stream\n"
 
 
 def test_unknown_tract_exits_1_with_one_line(small_bundle, tmp_path, capsys):
@@ -770,7 +834,7 @@ GOLDEN = {
         "gini_65.csv": "5ab2ec6d4b6f7cf51d75bdd17ebc74e8089105bc9e22cc3d7939390dda805a47",
         "gini_70.csv": "c9758f8d3a8573f202c36b91b1ba14d09f554e778f58584c9d272ea8818576a6",
         "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
-        "manifest.json": "7fcf39d9d01e401a72d2f1cfd2ef5dcabc84d8727d31fdd02d129d9884f2be6a",
+        "manifest.json": "2a7bc9546a7f06bc93676dc44bc02d08397e1b9316e3578717f3e37a880a6f87",
         "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
         "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
         "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
@@ -807,7 +871,7 @@ GOLDEN = {
         "gini_65.json": "1b40ca88146986fa9812b118afc5e58e149b12964b58f456f13b2afde44029dd",
         "gini_70.json": "00b210ef9c500f9f9ad2fda3d5f68b9cc4c76234dec54b63143fd61bd61f9bbf",
         "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
-        "manifest.json": "5b6531cd701d64b12b6de3e93f6f28fab322714923059da270a0cdcc034664f7",
+        "manifest.json": "194bd56499a57902d6c8ddb7db75a9d8ed952843a640dad029be70268d3d39cc",
         "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
         "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
         "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",

@@ -8,6 +8,7 @@ from airnoise.acoustics import HourlyLaeq
 from airnoise.errors import AmbiguousMapping, MissingPopulation, MissingWeather
 from airnoise.fusion import (
     MAPPING_NEAREST_CENTROID,
+    active_runways,
     build_features,
     fuse,
     map_tracts,
@@ -232,6 +233,19 @@ def test_build_features_targets_duplicated_per_operation():
                            [_nmt("N1", "T1")], [_hourly("N1", 0, 68.5)], hours)
     assert table.takeoff_laeq.tolist() == [68.5, 68.5]
     assert table.landing_laeq.tolist() == [68.5, 68.5]
+
+
+def test_active_runway_before_the_first_flight_is_the_first_one():
+    hours = [H0 + timedelta(hours=k) for k in range(2, 6)]
+    flights = [_flight(110, Operation.DEPARTURE, runway="14R"),  # before the window
+               _flight(250, Operation.DEPARTURE, runway="32L"),
+               _flight(260, Operation.DEPARTURE, runway="14R"),
+               _flight(270, Operation.DEPARTURE, runway="14R")]
+    active = active_runways(flights, hours)
+    assert [active[(h, Operation.DEPARTURE)] for h in hours] == ["14R"] * 4
+    assert [active[(h, Operation.ARRIVAL)] for h in hours] == [""] * 4
+    active = active_runways(flights[:2], hours)
+    assert [active[(h, Operation.DEPARTURE)] for h in hours] == ["32L"] * 4
 
 
 def test_rank_combos_by_frequency_then_name():

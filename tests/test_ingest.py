@@ -1,3 +1,4 @@
+import csv
 import io
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -17,6 +18,7 @@ from airnoise.ingest import (
     Operation,
     TractMeta,
     parse_flights,
+    parse_nmts,
     parse_population,
     parse_spl,
     parse_tracts,
@@ -497,3 +499,94 @@ def test_write_spl_path_and_empty(tmp_path):
     write_spl(spl_columns([sample]), tmp_path / "spl.csv")
     assert (tmp_path / "spl.csv").read_text(encoding="utf-8") == _write_spl_rows([sample])
     assert _spl_csv(spl_columns([])) == SPL_HEADER
+
+
+# --- errors the csv module raises, and the lines errors name -------------------
+
+WEATHER_HEAD = "hour_start,temperature_c,wind_speed_kt,wind_direction_deg,cloud_cover_tenths\n"
+
+
+@pytest.mark.parametrize("parse,data,line", [
+    (parse_nmts, 'nmt_id,tract_id,lat,lon\nN1,"' + "T" * 200_000 + '",37.5,127.0\n', 2),
+    (parse_nmts, '"' + "n" * 200_000 + '",tract_id,lat,lon\n', 1),
+    (parse_spl, SPL_HEADER + "N" * 200_000 + ",2023-01-05T09:00:03,50\n", 2),    # the byte path's block
+    (parse_spl, SPL_HEADER + "N" * 200_000 + ",2023-01-05T09:00:03,+50\n", 2),   # the row parser's
+    (ingest._parse_spl_rows, SPL_HEADER + "N" * 200_000 + ",2023-01-05T09:00:03,50\n", 2),
+], ids=["nmts-field", "nmts-header", "spl-fast", "spl-fallback", "spl-rows"])
+def test_field_over_the_csv_size_limit_is_a_malformed_row(parse, data, line):
+    for source in (data, data.encode()):
+        with pytest.raises(MalformedRow) as exc:
+            parse(source)
+        assert exc.value.line == line and "field larger than field limit" in exc.value.reason
+
+
+def test_spl_block_rejects_an_id_over_the_csv_size_limit():
+    row = ",2023-01-05T09:00:03,50\n"
+    limit = csv.field_size_limit()
+    assert spl.parse_block(("N" * limit + row).encode()) is not None
+    assert spl.parse_block(("N" * (limit + 1) + row).encode()) is None
+
+
+@pytest.mark.parametrize("parse,data,error,line", [
+    (parse_spl, SPL_HEADER.encode() + b"N1,2023-01-05T09:00:03,50\rN\xff1,2023-01-05T09:00:06,50\r", MalformedRow, 3),
+    (parse_weather, (WEATHER_HEAD + "2023-01-05T09:00,1.0,2.0,30.0,3\r").encode()
+     + b"2023-01-05T10:00,1.0,2.0,30.0,3\xfe\r", MalformedRow, 3),
+    (parse_spl, SPL_HEADER + '"N\n1",2023-01-01T00:00:00,50\nN1,2023-01-01T00:00:03,500\n', RangeViolation, 4),
+    (parse_weather, WEATHER_HEAD + '2023-01-05T09:00,"1.0\n",2.0,30.0,3\n2023-01-05T10:00,1.0,-2.0,30.0,3\n',
+     RangeViolation, 4),
+    (parse_spl, '"nmt_id",timestamp,level_dba\nN1,2023-01-05T09:00:03,50\nN1,x,50\n', MalformedRow, 3),
+], ids=["spl-cr", "weather-cr", "spl-quoted-line-end", "weather-quoted-line-end", "spl-quoted-header"])
+def test_error_names_its_physical_line(tmp_path, parse, data, error, line):
+    path = tmp_path / "input.csv"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    for source in (data, path):
+        with pytest.raises(error) as exc:
+            parse(source)
+        assert exc.value.line == line
+
+
+def test_spl_quoted_header_goes_to_the_row_parser():
+    out = parse_spl('"nmt_id",timestamp,level_dba\nN1,2023-01-05T09:00:03,50\nN2,2023-01-05T09:00:03,5e1\n')
+    assert spl_rows(out) == [("N1", datetime(2023, 1, 5, 9, 0, 3), 50.0), ("N2", datetime(2023, 1, 5, 9, 0, 3), 50.0)]
+
+
+def test_spl_block_with_a_comma_for_a_line_end_falls_back():
+    # 6 separators on 2 lines, but the first line's third one is the second's comma
+    assert spl.parse_block(b"N1,2023-01-05T09:00:03\nN1,2023-01-05T09:00:06,50,x\n") is None
+
+
+@pytest.mark.parametrize("parse,head,rows,error,reason", [
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:00,1.0,2.0,30.0,3.5"], MalformedRow, "cloud_cover not an integer"),
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:30,1.0,2.0,30.0,3"], MalformedRow, "hour_start must be on the hour"),
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:00,1.0,-2.0,30.0,3"], RangeViolation, "wind_speed_kt=-2.0"),
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:00,1.0,2.0,360,3"], RangeViolation, "wind_direction_deg=360.0"),
+    (parse_population, "tract_id,hour_start,defacto_count\n", ["T1,2023-01-05T09:00,-1"], RangeViolation,
+     "defacto_count=-1.0"),
+    (parse_tracts, "tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use\n",
+     ["T1,D1,37.5,127.0,-5,MIXED"], RangeViolation, "resident_count=-5.0"),
+    (parse_nmts, "nmt_id,tract_id,lat,lon\n", ["N1,T1,37.5,127.0", "N1,T2,37.5,127.0"], DuplicateKey, "'N1'"),
+], ids=["cloud-cover", "off-hour", "wind-speed", "wind-direction", "defacto-count", "resident-count", "nmt-id"])
+def test_parser_rejects_a_row(parse, head, rows, error, reason):
+    with pytest.raises(error) as exc:
+        parse(head + "\n".join(rows) + "\n")
+    assert exc.value.line == len(rows) + 1
+    assert reason in str(exc.value)
+
+
+def test_validate_out_of_window_and_population_gap_findings():
+    start = datetime(2023, 1, 5)
+    bundle = _tiny_bundle(start)
+    before = start - timedelta(hours=1)
+    bundle = replace(
+        bundle,
+        flights=[ingest.FlightEvent(start + timedelta(hours=2), Operation.ARRIVAL, "32L", "A321", "V2500", "KE")],
+        weather=bundle.weather + [ingest.WeatherHour(before, 1.0, 5.0, 180.0, 3)],
+        population=bundle.population[1:] + [ingest.PopulationRecord("T1", before, 50.0)],
+    )
+    report = validate_bundle(bundle, (start, start + timedelta(hours=2)))
+    assert [(f.stream, f.kind, f.key, f.detail) for f in report.findings] == [
+        ("flights", ingest.OUT_OF_WINDOW, "2023-01-05T02:00:00", "32L"),
+        ("weather", ingest.OUT_OF_WINDOW, "2023-01-04T23:00", ""),
+        ("population", ingest.OUT_OF_WINDOW, "2023-01-04T23:00", "T1"),
+        ("population", ingest.COVERAGE_GAP, "T1@2023-01-05T00:00", "no population record"),
+    ]
