@@ -111,6 +111,14 @@ def _choice(choices: tuple[str, ...]):
     return convert
 
 
+def _iso_hour(value: str) -> datetime:
+    """A window bound: an ISO hour with no UTC offset, minutes or seconds."""
+    hour = datetime.fromisoformat(value)
+    if hour.tzinfo is not None or hour.minute or hour.second or hour.microsecond:
+        raise ValueError(value)
+    return hour
+
+
 # Every setting, declared once: its RunConfig field, the converter of its text
 # (from a flag and from the config file alike), and the help text of its flag.
 # The keys with no help are set only in the config file. Every subcommand but
@@ -122,8 +130,8 @@ CONFIG_KEYS = {
     "theta": ("thresholds", lambda s: tuple(float(v) for v in s.split(",")),
               "exposure threshold in dBA (repeatable, or comma-separated)"),
     "retention_dba": ("retention_dba", float, "sample retention threshold in dBA"),
-    "window_start": ("window_start", datetime.fromisoformat, "study window start (ISO hour)"),
-    "window_end": ("window_end", datetime.fromisoformat, "study window end, exclusive (ISO hour)"),
+    "window_start": ("window_start", _iso_hour, "study window start (ISO hour)"),
+    "window_end": ("window_end", _iso_hour, "study window end, exclusive (ISO hour)"),
     "mapping": ("mapping", _choice(MAPPINGS), f"tract-to-terminal mapping mode: {' or '.join(MAPPINGS)}"),
     "format": ("out_format", _choice(FORMATS), f"tabular artifact format: {' or '.join(FORMATS)}"),
     "days": ("days", int, "scenario length in days"),
@@ -141,12 +149,14 @@ def _flag(key: str) -> str:
 
 
 def load_config_file(path: Path) -> dict:
-    """Parse a key=value config file; a file that cannot be read, a line
-    without ``=`` and an unknown key are usage errors."""
+    """Parse a key=value config file; a file that cannot be read or is not
+    UTF-8, a line without ``=`` and an unknown key are usage errors."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: cannot read config file: it is not UTF-8 text") from None
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,10 +283,9 @@ MODEL_TARGETS = {
 
 def _model_rows(table: fusion.FeatureTable, name: str):
     op = MODEL_TARGETS[name]
-    y_all = table.takeoff_laeq if name == "takeoff" else table.landing_laeq
-    keep = np.array([k[2] is op for k in table.keys]) & ~np.isnan(y_all)
+    keep = np.array([k[2] is op for k in table.keys]) & ~np.isnan(table.laeq)
     keys = [k for k, kp in zip(table.keys, keep) if kp]
-    return table.matrix[keep], y_all[keep], keys
+    return table.matrix[keep], table.laeq[keep], keys
 
 
 # A worker's message: kind (b"T" for the text of its result, b"E" for an

@@ -20,8 +20,6 @@ from .acoustics import HourlyLaeq
 from .errors import GridMismatch, NegativeValue
 from .fusion import TractHourRecord
 
-DEFAULT_THRESHOLDS = (65.0, 70.0)
-
 BASIS_DEFACTO = "defacto"
 BASIS_RESIDENTIAL = "residential"
 
@@ -82,7 +80,7 @@ def exposure_matrix(
 
 def exposure_matrices(
     records: Sequence[TractHourRecord],
-    thetas: Iterable[float] = DEFAULT_THRESHOLDS,
+    thetas: Iterable[float],
     basis: str = BASIS_DEFACTO,
 ) -> dict[float, ExposureMatrix]:
     """All thresholds in one pass over the records."""

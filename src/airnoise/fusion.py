@@ -12,11 +12,13 @@ that contains it. The feature table carries exactly 22 numeric columns per
                          less frequent combos are pooled into the totals only)
 
 Combo counts cover both operations within the hour, so a departure row and an
-arrival row of the same hour see the same fleet mix. The hourly LAeq at the
-terminal is duplicated into both target columns of each operation row; the
-take-off model downstream trains on departure rows against takeoff_laeq and
-the landing model on arrival rows against landing_laeq. Hours with no
-retained samples have absent targets and never enter training.
+arrival row of the same hour see the same fleet mix. Terminals differ only in
+their location, so the other 20 columns are built once per (hour, operation).
+The one target, the terminal's hourly LAeq, is held once in memory; the
+take-off model trains on departure rows against it and the landing model on
+arrival rows. ``features.csv`` writes it into both takeoff_laeq and
+landing_laeq, because the file's bytes are pinned. Hours with no retained
+samples have an absent target and never enter training.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ N_COMBO_FEATURES = 12
 MAPPING_CONTAINING = "containing"
 MAPPING_NEAREST_CENTROID = "nearest"
 
+# the operation order of a terminal-hour's two feature rows
+OPERATIONS = (Operation.ARRIVAL, Operation.DEPARTURE)
+
 
 @dataclass(frozen=True, slots=True)
 class TractHourRecord:
@@ -52,16 +57,15 @@ class TractHourRecord:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Model inputs: row keys, 22 named feature columns, two targets.
+    """Model inputs: row keys, 22 named feature columns, one target.
 
-    ``matrix`` has shape (n_rows, 22); absent targets are NaN.
+    ``matrix`` has shape (n_rows, 22); an absent ``laeq`` is NaN.
     """
 
     keys: list[tuple[str, datetime, Operation]]
     feature_names: list[str]
     matrix: np.ndarray
-    takeoff_laeq: np.ndarray
-    landing_laeq: np.ndarray
+    laeq: np.ndarray
 
     def __post_init__(self):
         if len(self.feature_names) != N_FEATURES:
@@ -254,7 +258,7 @@ def build_features(
     # hourly flight statistics (combo counts pool both operations)
     dep_total: dict[datetime, int] = {}
     arr_total: dict[datetime, int] = {}
-    combo_counts: dict[datetime, np.ndarray] = {}
+    combo_counts: dict[datetime, list[int]] = {}
     for f in flights:
         hour = f.timestamp.replace(minute=0, second=0, microsecond=0)
         if f.operation is Operation.DEPARTURE:
@@ -265,48 +269,32 @@ def build_features(
         if idx is not None:
             counts = combo_counts.get(hour)
             if counts is None:
-                counts = combo_counts[hour] = np.zeros(N_COMBO_FEATURES)
+                counts = combo_counts[hour] = [0] * N_COMBO_FEATURES
             counts[idx] += 1
 
+    # the (hour, operation) block every terminal shares; columns 2 and 3 are
+    # the terminal's own location, filled in below
     active = active_runways(flights, hours)
-    levels = {(h.nmt_id, h.hour_start): h.laeq for h in hourly_laeq}
-    zero_combos = np.zeros(N_COMBO_FEATURES)
+    zero_combos = [0] * N_COMBO_FEATURES
+    rows = []
+    for hour in hours:
+        w = weather_by_hour[hour]
+        for op in OPERATIONS:
+            rw = active.get((hour, op), "")
+            dev = wind_deviation(w.wind_direction, runway_heading(rw)) if rw else 0.0
+            rows.append((hour.hour, hour.weekday(), 0.0, 0.0, w.temperature, w.wind_speed, dev, w.cloud_cover,
+                          dep_total.get(hour, 0), arr_total.get(hour, 0), *combo_counts.get(hour, zero_combos)))
+    block = np.array(rows, dtype=float).reshape(-1, N_FEATURES)
 
-    keys: list[tuple[str, datetime, Operation]] = []
-    rows: list[np.ndarray] = []
-    takeoff: list[float] = []
-    landing: list[float] = []
-    for nmt in sorted(nmts, key=lambda n: n.nmt_id):
-        for hour in hours:
-            w = weather_by_hour[hour]
-            target = levels.get((nmt.nmt_id, hour))
-            for op in (Operation.ARRIVAL, Operation.DEPARTURE):
-                rw = active.get((hour, op), "")
-                dev = wind_deviation(w.wind_direction, runway_heading(rw)) if rw else 0.0
-                row = np.empty(N_FEATURES)
-                row[0] = hour.hour
-                row[1] = hour.weekday()
-                row[2] = nmt.location[0]
-                row[3] = nmt.location[1]
-                row[4] = w.temperature
-                row[5] = w.wind_speed
-                row[6] = dev
-                row[7] = w.cloud_cover
-                row[8] = dep_total.get(hour, 0)
-                row[9] = arr_total.get(hour, 0)
-                row[10:] = combo_counts.get(hour, zero_combos)
-                keys.append((nmt.nmt_id, hour, op))
-                rows.append(row)
-                t = math.nan if target is None else target
-                takeoff.append(t)
-                landing.append(t)
-
+    ordered = sorted(nmts, key=lambda n: n.nmt_id)
+    matrix = np.tile(block, (len(ordered), 1))
+    matrix[:, 2:4] = np.repeat(np.reshape([n.location for n in ordered], (-1, 2)), len(block), axis=0)
+    levels = {(h.nmt_id, h.hour_start): math.nan if h.laeq is None else h.laeq for h in hourly_laeq}
     return FeatureTable(
-        keys=keys,
+        keys=[(n.nmt_id, hour, op) for n in ordered for hour in hours for op in OPERATIONS],
         feature_names=feature_names,
-        matrix=np.vstack(rows) if rows else np.empty((0, N_FEATURES)),
-        takeoff_laeq=np.array(takeoff),
-        landing_laeq=np.array(landing),
+        matrix=matrix,
+        laeq=np.repeat([levels.get((n.nmt_id, hour), math.nan) for n in ordered for hour in hours], len(OPERATIONS)),
     )
 
 
@@ -327,12 +315,11 @@ def write_fused(records: Iterable[TractHourRecord], path) -> None:
 
 
 def write_features(table: FeatureTable, path) -> None:
-    """features.csv; an absent target is an empty field."""
+    """features.csv; the target fills both target columns, empty when absent."""
     header = (*FEATURES_HEADER[:3], *table.feature_names, *FEATURES_HEADER[-2:])
     tables.write(path, header, (
-        (nmt, tables.hour(hour), op.value, *row, None if math.isnan(t) else t, None if math.isnan(l) else l)
-        for (nmt, hour, op), row, t, l in zip(
-            table.keys, table.matrix.tolist(), table.takeoff_laeq.tolist(), table.landing_laeq.tolist())
+        (nmt, tables.hour(hour), op.value, *row, *(None if math.isnan(t) else t,) * 2)
+        for (nmt, hour, op), row, t in zip(table.keys, table.matrix.tolist(), table.laeq.tolist())
     ))
 
 
@@ -348,12 +335,11 @@ def read_fused(path) -> list[TractHourRecord]:
 
 
 def read_features(path) -> FeatureTable:
-    """Inverse of write_features; a torn file raises MalformedRow."""
+    """Inverse of write_features (from its first target column); a torn file raises MalformedRow."""
     header, rows = tables.read(path, FEATURES_HEADER)
     return FeatureTable(
         keys=[(nmt, datetime.fromisoformat(hour), Operation(op)) for nmt, hour, op, *_ in rows],
         feature_names=header[3:-2],
         matrix=np.array([[float(v) for v in row[3:-2]] for row in rows]) if rows else np.empty((0, N_FEATURES)),
-        takeoff_laeq=np.array([math.nan if row[-2] == "" else float(row[-2]) for row in rows]),
-        landing_laeq=np.array([math.nan if row[-1] == "" else float(row[-1]) for row in rows]),
+        laeq=np.array([math.nan if row[-2] == "" else float(row[-2]) for row in rows]),
     )

@@ -149,8 +149,7 @@ def split_data(table: FeatureTable, fraction: float = 0.9, seed: int = 0) -> tup
             keys=[table.keys[i] for i in idx],
             feature_names=list(table.feature_names),
             matrix=table.matrix[idx],
-            takeoff_laeq=table.takeoff_laeq[idx],
-            landing_laeq=table.landing_laeq[idx],
+            laeq=table.laeq[idx],
         )
 
     return subset(train_idx), subset(test_idx)

@@ -427,10 +427,10 @@ def parse_bundle(directory) -> Bundle:
 # serialize(parse(x)) reproduces x up to canonical number formatting: floats
 # are written with repr() (shortest round-trip form), hours with minute
 # precision, timestamps with second precision. Every stream but spl.csv is
-# written by tables.write.
+# written by tables.write; spl.csv goes through tables.write_atomic.
 
-def write_spl(columns: SplColumns, dest) -> None:
-    """Write the stream from its columns.
+def write_spl(columns: SplColumns, fh) -> None:
+    """Write the stream from its columns to the text stream ``fh``.
 
     Each distinct whole-second timestamp is formatted once for the stream,
     and each distinct level (by bit pattern, so -0.0 keeps its sign) once per
@@ -438,10 +438,6 @@ def write_spl(columns: SplColumns, dest) -> None:
     index and are written as one string. Chunks keep the temporaries small,
     so memory grows with the stream only by the formatted timestamps.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_spl(columns, fh)
-        return
     # the distinct whole seconds (datetime64 floors, as isoformat(timespec=
     # "seconds") drops the microseconds); not np.unique, which on a plain
     # array hashes, slower here, and imports numpy.ma
@@ -453,13 +449,13 @@ def write_spl(columns: SplColumns, dest) -> None:
         np.datetime_as_string(stamps[lo:lo + SPL_WRITE_ROWS]).tolist()
         for lo in range(0, len(stamps), SPL_WRITE_ROWS)
     ))
-    dest.write(",".join(SPL_HEADER) + "\n")
+    fh.write(",".join(SPL_HEADER) + "\n")
     for lo in range(0, len(columns), SPL_WRITE_ROWS):
         rows = slice(lo, lo + SPL_WRITE_ROWS)
         stamp_at = np.searchsorted(stamps, columns.times[rows].astype("datetime64[s]"))
         levels, level_at = np.unique(columns.levels[rows].view(np.int64), return_inverse=True)
         levels = list(map(repr, levels.view(np.float64).tolist()))
-        dest.write("\n".join(map(",".join, zip(
+        fh.write("\n".join(map(",".join, zip(
             map(columns.names.__getitem__, columns.codes[rows].tolist()),
             map(text.__getitem__, stamp_at.tolist()),
             map(levels.__getitem__, level_at.tolist()),
@@ -505,7 +501,7 @@ def write_nmts(nmts: Iterable[NmtMeta], path) -> None:
 def write_bundle(bundle: Bundle, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    write_spl(bundle.spl, d / "spl.csv")
+    tables.write_atomic(d / "spl.csv", lambda fh: write_spl(bundle.spl, fh))
     write_flights(bundle.flights, d / "flights.csv")
     write_weather(bundle.weather, d / "weather.csv")
     write_population(bundle.population, d / "population.csv")

@@ -114,7 +114,7 @@ def _shapley_weights(d: int) -> list[float]:
     return [math.factorial(k) * math.factorial(d - 1 - k) / math.factorial(d) for k in range(d)]
 
 
-def shapley_bruteforce(ensemble: Ensemble, row, key: object = None) -> Attribution:
+def shapley_bruteforce(ensemble: Ensemble, row) -> Attribution:
     """Exact Shapley values by full coalition enumeration (oracle path)."""
     m = len(ensemble.feature_names)
     if m > BRUTEFORCE_FEATURE_CAP:
@@ -138,7 +138,7 @@ def shapley_bruteforce(ensemble: Ensemble, row, key: object = None) -> Attributi
             phis[i] += weights[k] * (value_by_mask[mask | bit] - value_by_mask[mask])
 
     return Attribution(
-        key=key,
+        key=None,
         row=values,
         phi0=float(value_by_mask[0]),
         phis=phis,
@@ -313,11 +313,9 @@ def shapley_batch(ensemble: Ensemble, X: np.ndarray, keys: Sequence[object] | No
     return out
 
 
-def shapley_fast(ensemble: Ensemble, row, key: object = None) -> Attribution:
+def shapley_fast(ensemble: Ensemble, row) -> Attribution:
     """Exact attribution for one row; equals the brute-force oracle."""
-    values = _row_values(ensemble, row)
-    att = shapley_batch(ensemble, values.reshape(1, -1), keys=[key])[0]
-    return att
+    return shapley_batch(ensemble, _row_values(ensemble, row).reshape(1, -1))[0]
 
 
 def summary(attributions: Sequence[Attribution]) -> list[tuple[str, float]]:

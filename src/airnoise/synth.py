@@ -3,7 +3,7 @@
 The generated bundle is internally consistent (it passes ingest validation
 with zero findings) and every structural pattern is known ground truth:
 
-* runway roles swap every block (default 3 h), so terminals on opposite
+* runway roles swap every 3-hour block, so terminals on opposite
   approach paths see anti-phase loud/quiet blocks;
 * each terminal-hour's equivalent level is an additive function of the model
   features (monotone temperature response, cloud-cover step, per-combo flight
@@ -39,8 +39,8 @@ keeps as the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta
+from dataclasses import asdict, dataclass
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Mapping
 
@@ -87,7 +87,7 @@ DEFAULT_FLEET: tuple[tuple[str, str, float], ...] = (
 # dB added per hourly movement of the combo (newer engines are quieter).
 # Weighted by fleet share these cancel to ~0, so the overall traffic level
 # does not leak a diurnal component into every terminal's series.
-DEFAULT_COMBO_COEFFS: Mapping[str, float] = {
+COMBO_COEFFS: Mapping[str, float] = {
     "B737-800+CFM56-7B": 0.155,
     "A320+V2500-A5": 0.125,
     "B767-300+CF6-80C2": 0.14,
@@ -108,64 +108,61 @@ AIRLINES = ("KE", "OZ", "7C", "BX", "TW", "ZE")
 # with a day-shaped envelope.
 DEFAULT_FLIGHTS_PER_HOUR = (5, 5, 0, 0, 7, 7, 11, 11, 11, 17, 17, 17, 12, 12, 12, 18, 18, 18, 14, 14, 14, 10, 10, 10)
 
+START = datetime(2023, 1, 1)
+# tract layout: near-runway tracts carry the terminals, commercial tracts
+# carry one terminal each on the east side, residential tracts have none
+COMMERCIAL_TRACTS = 1
+RESIDENTIAL_TRACTS = 2
+BLOCK_HOURS = 3
+# ground-truth noise function: the monotone met response is a step at the
+# reference temperature plus a mild slope, so it stays monotone while a
+# tree model can represent the bulk of it with a single split
+BASE_LEVEL = 77.0
+BASE_SPREAD = 0.8
+ROTATION_AMPLITUDE = 4.2
+TEMPERATURE_REF = 2.0
+TEMPERATURE_STD = 4.0
+TEMPERATURE_STEP_DB = 2.6
+TEMPERATURE_COEFF = 0.12
+CLOUD_THRESHOLD = 5
+CLOUD_STEP = 1.2
+NOISE_STD = 1.5
+LEVEL_FLOOR = 62.0
+LEVEL_CEILING = 100.0
+# population waves
+COMMERCIAL_BASE = 500.0
+COMMERCIAL_RESIDENTS = 1200.0
+RESIDENTIAL_BASE = 2300.0
+RESIDENTIAL_RESIDENTS = 2300.0
+COMMUTER_INFLOW = 3400.0
+WEEKEND_FACTOR = 0.8
+# SPL stream shape: the uniform jitter of a retained sample, in dB
+JITTER_DB = 1.5
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 0
     days: int = 31
-    start: date = date(2023, 1, 1)
-    # tract layout: near-runway tracts carry the terminals, commercial tracts
-    # carry one terminal each on the east side, residential tracts have none
     near_32l_tracts: int = 2
     near_32r_tracts: int = 2
-    commercial_tracts: int = 1
-    residential_tracts: int = 2
     flights_per_hour: tuple[int, ...] = DEFAULT_FLIGHTS_PER_HOUR
-    block_hours: int = 3
-    # ground-truth noise function: the monotone met response is a step at the
-    # reference temperature plus a mild slope, so it stays monotone while a
-    # tree model can represent the bulk of it with a single split
-    base_level: float = 77.0
-    base_spread: float = 0.8
-    rotation_amplitude: float = 4.2
-    temperature_ref: float = 2.0
-    temperature_std: float = 4.0
-    temperature_step_db: float = 2.6
-    temperature_coeff: float = 0.12
-    cloud_threshold: int = 5
-    cloud_step: float = 1.2
-    combo_coeffs: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_COMBO_COEFFS))
-    noise_std: float = 1.5
-    level_floor: float = 62.0
-    level_ceiling: float = 100.0
-    # population waves
-    commercial_base: float = 500.0
-    commercial_residents: float = 1200.0
-    residential_base: float = 2300.0
-    residential_residents: float = 2300.0
-    commuter_inflow: float = 3400.0
-    weekend_factor: float = 0.8
     # SPL stream shape
     samples_per_hour: int = 300
     sub_threshold_fraction: float = 0.1
-    jitter_db: float = 1.5
 
     def __post_init__(self):
         if self.days < 1:
             raise InvalidConfig("days must be positive")
-        for name in ("near_32l_tracts", "near_32r_tracts", "commercial_tracts", "residential_tracts"):
+        for name in ("near_32l_tracts", "near_32r_tracts"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be positive")
-        if self.block_hours < 1 or 24 % self.block_hours != 0:
-            raise InvalidConfig("block_hours must divide 24")
         if len(self.flights_per_hour) != 24 or any(n < 0 for n in self.flights_per_hour):
             raise InvalidConfig("flights_per_hour must list 24 non-negative counts")
         if not 1 <= self.samples_per_hour <= 1200:
             raise InvalidConfig("samples_per_hour must lie in [1, 1200]")
         if not 0 <= self.sub_threshold_fraction < 1:
             raise InvalidConfig("sub_threshold_fraction must lie in [0, 1)")
-        if self.noise_std < 0 or self.jitter_db < 0:
-            raise InvalidConfig("noise_std and jitter_db must be non-negative")
 
 
 @dataclass
@@ -197,23 +194,10 @@ class GroundTruth:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
+            **asdict(self),
             "window_start": tables.hour(self.window_start),
             "window_end": tables.hour(self.window_end),
-            "block_hours": self.block_hours,
             "landing_runway_by_parity": {str(k): v for k, v in self.landing_runway_by_parity.items()},
-            "quiet_hours": self.quiet_hours,
-            "nmt_side": self.nmt_side,
-            "nmt_base": self.nmt_base,
-            "tract_of_nmt": self.tract_of_nmt,
-            "diurnal": self.diurnal,
-            "dominant_feature": self.dominant_feature,
-            "threshold_feature": self.threshold_feature,
-            "threshold_value": self.threshold_value,
-            "coefficients": self.coefficients,
-            "noise_std": self.noise_std,
-            "clean_level": self.clean_level,
-            "intended_level": self.intended_level,
         }
 
 
@@ -287,7 +271,7 @@ def _round2(values: np.ndarray) -> np.ndarray:
 
 def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     """Build the full six-schema bundle plus its ground truth record."""
-    window_start = datetime.combine(config.start, time(0))
+    window_start = START
     window_end = window_start + timedelta(days=config.days)
     hours = [window_start + timedelta(hours=k) for k in range(config.days * 24)]
 
@@ -318,30 +302,30 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
 
     for i in range(config.near_32r_tracts):
         tid = f"R{i + 1:02d}"
-        add_tract(tid, "perimeter", 40.00 + 0.005 * i, 10.02 + 0.01 * i, config.residential_residents, LandUse.RESIDENTIAL)
+        add_tract(tid, "perimeter", 40.00 + 0.005 * i, 10.02 + 0.01 * i, RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL)
         add_nmt(tid, 40.00 + 0.005 * i, 10.02 + 0.01 * i, RUNWAY_EAST)
         donors.append(tid)
         diurnal[tid] = "NIGHTTIME_PEAK"
     for i in range(config.near_32l_tracts):
         tid = f"L{i + 1:02d}"
-        add_tract(tid, "perimeter", 40.00 + 0.005 * i, 9.97 - 0.01 * i, config.residential_residents, LandUse.RESIDENTIAL)
+        add_tract(tid, "perimeter", 40.00 + 0.005 * i, 9.97 - 0.01 * i, RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL)
         add_nmt(tid, 40.00 + 0.005 * i, 9.97 - 0.01 * i, RUNWAY_WEST)
         donors.append(tid)
         diurnal[tid] = "NIGHTTIME_PEAK"
-    for i in range(config.commercial_tracts):
+    for i in range(COMMERCIAL_TRACTS):
         tid = f"C{i + 1:02d}"
-        add_tract(tid, "downtown", 40.01 + 0.005 * i, 10.05 + 0.01 * i, config.commercial_residents, LandUse.COMMERCIAL)
+        add_tract(tid, "downtown", 40.01 + 0.005 * i, 10.05 + 0.01 * i, COMMERCIAL_RESIDENTS, LandUse.COMMERCIAL)
         add_nmt(tid, 40.01 + 0.005 * i, 10.05 + 0.01 * i, RUNWAY_EAST)
         commercial.append(tid)
         diurnal[tid] = "DAYTIME_PEAK"
-    for i in range(config.residential_tracts):
+    for i in range(RESIDENTIAL_TRACTS):
         tid = f"S{i + 1:02d}"
-        add_tract(tid, "perimeter", 39.95 - 0.005 * i, 10.00 + 0.02 * i, config.residential_residents, LandUse.RESIDENTIAL)
+        add_tract(tid, "perimeter", 39.95 - 0.005 * i, 10.00 + 0.02 * i, RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL)
         donors.append(tid)
         diurnal[tid] = "NIGHTTIME_PEAK"
 
     n_nmts = len(nmts)
-    bases = np.linspace(config.base_level - config.base_spread, config.base_level + config.base_spread, n_nmts)
+    bases = np.linspace(BASE_LEVEL - BASE_SPREAD, BASE_LEVEL + BASE_SPREAD, n_nmts)
     nmt_base = {nmts[k].nmt_id: round(float(bases[k]), 3) for k in range(n_nmts)}
     tract_of_nmt = {n.nmt_id: n.tract_id for n in nmts}
 
@@ -350,7 +334,7 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     for h in hours:
         weather.append(WeatherHour(
             hour_start=h,
-            temperature=round(config.temperature_ref + config.temperature_std * float(rng_weather.standard_normal()), 2),
+            temperature=round(TEMPERATURE_REF + TEMPERATURE_STD * float(rng_weather.standard_normal()), 2),
             wind_speed=round(min(abs(float(rng_weather.normal(9.0, 4.0))), 30.0), 1),
             wind_direction=float(rng_weather.integers(0, 360)),
             cloud_cover=int(rng_weather.integers(0, 11)),
@@ -367,7 +351,7 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
         n = config.flights_per_hour[h.hour]
         if n == 0:
             continue
-        lands = landing_runway(h, config.block_hours)
+        lands = landing_runway(h, BLOCK_HOURS)
         departs = RUNWAY_WEST if lands == RUNWAY_EAST else RUNWAY_EAST
         picks = rng_flights.choice(len(fleet_names), size=n, p=fleet_probs)
         airline_picks = rng_flights.integers(0, len(AIRLINES), size=n)
@@ -389,14 +373,14 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     # --- population -------------------------------------------------------------
     population: list[PopulationRecord] = []
     for h in hours:
-        day_factor = config.weekend_factor if h.weekday() >= 5 else 1.0
-        inflow = config.commuter_inflow * commuter_wave(h.hour) * day_factor
+        day_factor = WEEKEND_FACTOR if h.weekday() >= 5 else 1.0
+        inflow = COMMUTER_INFLOW * commuter_wave(h.hour) * day_factor
         outflow_each = inflow * len(commercial) / len(donors)
         for t in tracts:
             if t.tract_id in commercial:
-                count = config.commercial_base + inflow
+                count = COMMERCIAL_BASE + inflow
             else:
-                count = config.residential_base - outflow_each
+                count = RESIDENTIAL_BASE - outflow_each
             population.append(PopulationRecord(t.tract_id, h, round(count, 4)))
 
     # --- intended hourly levels and SPL streams ---------------------------------
@@ -422,21 +406,21 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
             if config.flights_per_hour[h.hour] == 0:
                 continue
             w = weather_by_hour[h]
-            rot = config.rotation_amplitude if landing_runway(h, config.block_hours) == side else -config.rotation_amplitude
+            rot = ROTATION_AMPLITUDE if landing_runway(h, BLOCK_HOURS) == side else -ROTATION_AMPLITUDE
             level = base + rot
-            dev = w.temperature - config.temperature_ref
-            level += config.temperature_step_db * math.copysign(1.0, dev) + config.temperature_coeff * dev
-            if w.cloud_cover > config.cloud_threshold:
-                level += config.cloud_step
+            dev = w.temperature - TEMPERATURE_REF
+            level += TEMPERATURE_STEP_DB * math.copysign(1.0, dev) + TEMPERATURE_COEFF * dev
+            if w.cloud_cover > CLOUD_THRESHOLD:
+                level += CLOUD_STEP
             for combo, count in combo_counts.get(h, {}).items():
-                level += config.combo_coeffs.get(combo, 0.0) * count
+                level += COMBO_COEFFS.get(combo, 0.0) * count
             key = f"{nmt.nmt_id}|{tables.hour(h)}"
             keys.append(key)
             clean.append(level)
             clean_level[key] = round(level, 6)
     for key, level, z in zip(keys, clean, rng_noise.standard_normal(len(keys)).tolist()):
-        noisy = level + config.noise_std * z
-        intended_level[key] = round(min(max(noisy, config.level_floor), config.level_ceiling), 6)
+        noisy = level + NOISE_STD * z
+        intended_level[key] = round(min(max(noisy, LEVEL_FLOOR), LEVEL_CEILING), 6)
 
     sizes = np.where(quiet, n_samples, n_samples + retained_index.size)
     starts = np.cumsum(sizes) - sizes
@@ -446,7 +430,7 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     # jitter only the retained samples and correct each group's energy mean
     # exactly, so re-aggregation reproduces the intended level
     loud = np.flatnonzero(~quiet)
-    jitter = config.jitter_db * (2.0 * draws[starts[loud, None] + n_samples + np.arange(retained_index.size)] - 1.0)
+    jitter = JITTER_DB * (2.0 * draws[starts[loud, None] + n_samples + np.arange(retained_index.size)] - 1.0)
     del draws
     energy_offset = np.array([10.0 * math.log10(np.mean(10.0 ** (row / 10.0))) for row in jitter])
     intended = np.array([intended_level[key] for key in keys])
@@ -473,7 +457,7 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
         seed=config.seed,
         window_start=window_start,
         window_end=window_end,
-        block_hours=config.block_hours,
+        block_hours=BLOCK_HOURS,
         landing_runway_by_parity={0: RUNWAY_WEST, 1: RUNWAY_EAST},
         quiet_hours=[h for h in range(24) if config.flights_per_hour[h] == 0],
         nmt_side=nmt_side,
@@ -482,16 +466,16 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
         diurnal=diurnal,
         dominant_feature="temperature_c",
         threshold_feature="cloud_cover_tenths",
-        threshold_value=float(config.cloud_threshold),
+        threshold_value=float(CLOUD_THRESHOLD),
         coefficients={
-            "temperature_step_db": config.temperature_step_db,
-            "temperature_coeff": config.temperature_coeff,
-            "temperature_ref": config.temperature_ref,
-            "cloud_step": config.cloud_step,
-            "rotation_amplitude": config.rotation_amplitude,
-            "combo": dict(config.combo_coeffs),
+            "temperature_step_db": TEMPERATURE_STEP_DB,
+            "temperature_coeff": TEMPERATURE_COEFF,
+            "temperature_ref": TEMPERATURE_REF,
+            "cloud_step": CLOUD_STEP,
+            "rotation_amplitude": ROTATION_AMPLITUDE,
+            "combo": dict(COMBO_COEFFS),
         },
-        noise_std=config.noise_std,
+        noise_std=NOISE_STD,
         clean_level=clean_level,
         intended_level=intended_level,
     )

@@ -98,19 +98,19 @@ DAY_WINDOW = tuple(range(8, 18))                      # 08:00-18:00
 NIGHT_WINDOW = tuple(list(range(20, 24)) + list(range(0, 6)))  # 20:00-06:00
 
 
-def classify_diurnal(values: Sequence[float], margin: float = 0.10) -> DiurnalClass:
+def classify_diurnal(values: Sequence[float]) -> DiurnalClass:
     """Label a 24-hour profile by where its population mass sits.
 
     DAYTIME_PEAK when the 08:00-18:00 mean exceeds the 20:00-06:00 mean by
-    more than ``margin`` (relative), NIGHTTIME_PEAK for the reverse, FLAT
+    more than 10 % (relative), NIGHTTIME_PEAK for the reverse, FLAT
     otherwise.
     """
     if len(values) != 24:
         raise WrongLength(f"need 24 hourly values, got {len(values)}")
     day = float(np.mean([values[h] for h in DAY_WINDOW]))
     night = float(np.mean([values[h] for h in NIGHT_WINDOW]))
-    if day > night * (1.0 + margin):
+    if day > night * 1.1:
         return DiurnalClass.DAYTIME_PEAK
-    if night > day * (1.0 + margin):
+    if night > day * 1.1:
         return DiurnalClass.NIGHTTIME_PEAK
     return DiurnalClass.FLAT

@@ -90,9 +90,9 @@ def month_model(month, month_series):
     train_part, test_part = split_data(table, 0.9, seed=SEED)
 
     def rows(part):
-        keep = np.array([k[2] is Operation.DEPARTURE for k in part.keys]) & ~np.isnan(part.takeoff_laeq)
+        keep = np.array([k[2] is Operation.DEPARTURE for k in part.keys]) & ~np.isnan(part.laeq)
         keys = [k for k, kp in zip(part.keys, keep) if kp]
-        return part.matrix[keep], part.takeoff_laeq[keep], keys
+        return part.matrix[keep], part.laeq[keep], keys
 
     X_train, y_train, _ = rows(train_part)
     X_test, y_test, test_keys = rows(test_part)
@@ -220,15 +220,15 @@ def test_criterion_4_gbm(month, month_model):
 
     # (d) same seed -> byte-identical serialized model
     train_part, test_part = split_data(table, 0.9, seed=SEED)
-    keep_tr = np.array([k[2] is Operation.DEPARTURE for k in train_part.keys]) & ~np.isnan(train_part.takeoff_laeq)
-    keep_te = np.array([k[2] is Operation.DEPARTURE for k in test_part.keys]) & ~np.isnan(test_part.takeoff_laeq)
+    keep_tr = np.array([k[2] is Operation.DEPARTURE for k in train_part.keys]) & ~np.isnan(train_part.laeq)
+    keep_te = np.array([k[2] is Operation.DEPARTURE for k in test_part.keys]) & ~np.isnan(test_part.laeq)
     cfg_d = TrainConfig(rounds_max=60, max_depth=5, lambda_=8.0, min_child_weight=10.0,
                         early_stopping_patience=60, seed=SEED)
 
     def run_once():
         ens, hist = train(
-            train_part.matrix[keep_tr], train_part.takeoff_laeq[keep_tr],
-            test_part.matrix[keep_te], test_part.takeoff_laeq[keep_te],
+            train_part.matrix[keep_tr], train_part.laeq[keep_tr],
+            test_part.matrix[keep_te], test_part.laeq[keep_te],
             cfg_d, table.feature_names,
         )
         return to_json(ens, cfg_d, hist).encode()

@@ -325,6 +325,29 @@ def test_malformed_window_config_exits_2(small_bundle, tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {conf}:2: {key}: invalid value 'nope'\n"
 
 
+@pytest.mark.parametrize("command,flags,conf,message", [
+    ("exposure", ["--window-start", "2023-01-01T00:00+09:00"], None,
+     "--window-start: invalid value '2023-01-01T00:00+09:00'"),
+    ("exposure", ["--window-start", "2023-01-01T00:30", "--window-end", "2023-01-01T03:00"], None,
+     "--window-start: invalid value '2023-01-01T00:30'"),
+    ("validate", ["--window-end", "2023-01-02T00:00:30"], None,
+     "--window-end: invalid value '2023-01-02T00:00:30'"),
+    ("exposure", [], b"window_end = 2023-01-02T00:00Z\n", "{conf}:1: window_end: invalid value '2023-01-02T00:00Z'"),
+    ("exposure", [], b"window_start = 2023-01-01T01:15\n", "{conf}:1: window_start: invalid value '2023-01-01T01:15'"),
+    ("validate", [], b"seed = 3\xff\n", "{conf}: cannot read config file: it is not UTF-8 text"),
+], ids=["offset-flag", "minutes-flag", "seconds-flag", "offset-config", "minutes-config", "config-not-utf8"])
+def test_window_bound_and_config_text_errors_are_one_usage_line(small_bundle, tmp_path, capsys,
+                                                                command, flags, conf, message):
+    argv = [command, "--in", str(small_bundle), "--out", str(tmp_path / "out"), *flags]
+    path = tmp_path / "run.conf"
+    if conf is not None:
+        path.write_bytes(conf)
+        argv += ["--config", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == f"error: {message.format(conf=path)}\n"
+
+
 def test_laeq_miss_drops_manifest_entry_first(small_bundle, tmp_path, monkeypatch):
     from airnoise import acoustics
 

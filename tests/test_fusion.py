@@ -209,8 +209,7 @@ def test_build_features_zero_flight_hour_retained():
     dep = table.feature_names.index("departures_total")
     for i in rows2:
         assert table.matrix[i, dep] == 0.0
-        assert np.isnan(table.takeoff_laeq[i])
-        assert np.isnan(table.landing_laeq[i])
+        assert np.isnan(table.laeq[i])
 
 
 def test_build_features_row_count_invariant():
@@ -231,8 +230,45 @@ def test_build_features_targets_duplicated_per_operation():
     hours = [H0]
     table = build_features([_flight(5, Operation.DEPARTURE)], [_weather(0)],
                            [_nmt("N1", "T1")], [_hourly("N1", 0, 68.5)], hours)
-    assert table.takeoff_laeq.tolist() == [68.5, 68.5]
-    assert table.landing_laeq.tolist() == [68.5, 68.5]
+    assert table.laeq.tolist() == [68.5, 68.5]
+
+
+def test_build_features_sub_window_rows_equal_full_window_rows():
+    # flights in every hour of both operations, so no hour inherits a runway
+    # across the sub-window's edges; the flights outside it stay in the input
+    hours = [H0 + timedelta(hours=k) for k in range(8)]
+    combos = [("B737-800", "CFM56-7B"), ("A320", "V2500-A5"), ("B777-300ER", "GE90-115B")]
+    flights = [
+        _flight(60 * k + 7 * j, op, combo=combos[(k + j) % 3], runway=("32L", "14R", "33")[(k + j) % 3])
+        for k in range(8) for op in Operation for j in range(1 + (k * 5 + len(op.value)) % 4)
+    ]
+    weather = [_weather(k, wind_direction=40.0 * k, cloud=k) for k in range(8)]
+    nmts = [_nmt("N3", "T3", 37.3, 127.3), _nmt("N1", "T1", 37.1, 127.1), _nmt("N2", "T2", 37.2, 127.2)]
+    levels = [_hourly(n.nmt_id, k, 60.0 + k + i / 4 if (k + i) % 5 else None)
+              for i, n in enumerate(nmts) for k in range(8)]
+    full = build_features(flights, weather, nmts, levels, hours)
+    sub = build_features(flights, weather, nmts, levels, hours[1:6])
+    row_of = {key: i for i, key in enumerate(full.keys)}
+    rows = [row_of[key] for key in sub.keys]
+    assert len(rows) == 3 * 5 * 2
+    assert sub.feature_names == full.feature_names
+    assert sub.matrix.tolist() == full.matrix[rows].tolist()
+    assert np.array_equal(sub.laeq, full.laeq[rows], equal_nan=True)
+    location = {n.nmt_id: list(n.location) for n in nmts}
+    assert [row[2:4] for row in full.matrix.tolist()] == [location[k[0]] for k in full.keys]
+    assert full.matrix[:, 0].tolist() == [k[1].hour for k in full.keys]
+
+
+def test_features_csv_writes_the_target_into_both_columns(tmp_path):
+    from airnoise.fusion import write_features
+
+    hours = [H0, H0 + timedelta(hours=1)]
+    table = build_features([_flight(5, Operation.DEPARTURE)], [_weather(0), _weather(1)],
+                           [_nmt("N1", "T1")], [_hourly("N1", 0, 68.5)], hours)
+    write_features(table, tmp_path / "features.csv")
+    header, *rows = [line.split(",") for line in (tmp_path / "features.csv").read_text().splitlines()]
+    assert header[-2:] == ["takeoff_laeq", "landing_laeq"]
+    assert [row[-2:] for row in rows] == [["68.5", "68.5"]] * 2 + [["", ""]] * 2
 
 
 def test_active_runway_before_the_first_flight_is_the_first_one():
@@ -287,8 +323,7 @@ def test_features_round_trip(tmp_path):
     assert back.keys == table.keys
     assert back.feature_names == table.feature_names
     assert back.matrix.tolist() == table.matrix.tolist()
-    assert np.array_equal(back.takeoff_laeq, table.takeoff_laeq, equal_nan=True)
-    assert np.array_equal(back.landing_laeq, table.landing_laeq, equal_nan=True)
+    assert np.array_equal(back.laeq, table.laeq, equal_nan=True)
 
 
 def test_torn_fused_and_features_raise_malformed_row(tmp_path, torn):

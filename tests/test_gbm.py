@@ -38,8 +38,7 @@ def _table(n):
         keys=[("N1", h, Operation.DEPARTURE) for h in hours],
         feature_names=[f"f{i}" for i in range(22)],
         matrix=X,
-        takeoff_laeq=y,
-        landing_laeq=y,
+        laeq=y,
     )
 
 

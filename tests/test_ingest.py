@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import spl_columns, spl_rows
 
-from airnoise import ingest, spl
+from airnoise import ingest, spl, tables
 from airnoise.errors import AirnoiseError, DuplicateKey, MalformedRow, RangeViolation
 from airnoise.ingest import (
     Bundle,
@@ -496,7 +496,7 @@ def test_write_spl_equals_row_writer(rows, chunk_rows):
 
 def test_write_spl_path_and_empty(tmp_path):
     sample = ("N1", datetime(2023, 1, 5, 9, 0, 3, 250_000), 61.25)
-    write_spl(spl_columns([sample]), tmp_path / "spl.csv")
+    tables.write_atomic(tmp_path / "spl.csv", lambda fh: write_spl(spl_columns([sample]), fh))
     assert (tmp_path / "spl.csv").read_text(encoding="utf-8") == _write_spl_rows([sample])
     assert _spl_csv(spl_columns([])) == SPL_HEADER
 
