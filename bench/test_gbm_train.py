@@ -27,7 +27,7 @@ def models(tmp_path_factory):
     assert cli.main(["fuse", "--in", str(bundle), "--out", str(out), "--seed", str(SEED)]) == 0
     table = fusion.read_features(out / "features.csv")
     train_part, valid_part = gbm.split_data(table, gbm.TrainConfig().split_fraction, SEED)
-    config = replace(cli.RunConfig(seed=SEED), patience=300).train_config()
+    config = replace(cli.RunConfig(seed=SEED), early_stopping_patience=300).train_config()
     return {
         name: (*cli._model_rows(train_part, name)[:2], *cli._model_rows(valid_part, name)[:2],
                config, table.feature_names)

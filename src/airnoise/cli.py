@@ -65,6 +65,8 @@ from .ingest import Operation
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
 MAPPINGS = (fusion.MAPPING_CONTAINING, fusion.MAPPING_NEAREST_CENTROID)
 FORMATS = ("csv", "json")
+# the RunConfig fields that train_config passes to gbm.TrainConfig by name
+TRAIN_FIELDS = ("rounds_max", "max_depth", "lambda_", "gamma", "min_child_weight", "early_stopping_patience")
 
 
 @dataclass
@@ -86,20 +88,12 @@ class RunConfig:
     lambda_: float = 8.0
     gamma: float = 0.0
     min_child_weight: float = 10.0
-    patience: int = 30
+    early_stopping_patience: int = 30
 
     def train_config(self) -> gbm.TrainConfig:
         from . import gbm
 
-        return gbm.TrainConfig(
-            rounds_max=self.rounds_max,
-            max_depth=self.max_depth,
-            lambda_=self.lambda_,
-            gamma=self.gamma,
-            min_child_weight=self.min_child_weight,
-            early_stopping_patience=self.patience,
-            seed=self.seed,
-        )
+        return gbm.TrainConfig(seed=self.seed, **{name: getattr(self, name) for name in TRAIN_FIELDS})
 
 
 def _choice(choices: tuple[str, ...]):
@@ -140,7 +134,7 @@ CONFIG_KEYS = {
     "lambda": ("lambda_", float, None),
     "gamma": ("gamma", float, None),
     "min_child_weight": ("min_child_weight", float, None),
-    "patience": ("patience", int, None),
+    "patience": ("early_stopping_patience", int, None),
 }
 
 
@@ -703,7 +697,7 @@ def cmd_report(args) -> int:
         "exposure": {
             exposure.theta_tag(t): {
                 "hours": [tables.hour(h) for h in m.hours],
-                "hourly_total": [float(m.cells[:, j].sum()) for j in range(len(m.hours))],
+                "hourly_total": [e.exposed_total for e in ginis[t].entries],
             }
             for t, m in matrices.items()
         },

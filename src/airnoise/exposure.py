@@ -49,10 +49,10 @@ class GiniSeries:
     entries: list[GiniEntry]
 
 
-def exposed(record: TractHourRecord, theta: float) -> float:
-    """De facto persons exposed in one tract-hour: n if L > theta, else 0."""
+def exposed(record: TractHourRecord, theta: float, basis: str = BASIS_DEFACTO) -> float:
+    """Persons exposed in one tract-hour: its ``basis`` population if L > theta, else 0."""
     if record.laeq is not None and record.laeq > theta:
-        return record.population_defacto
+        return record.population_defacto if basis == BASIS_DEFACTO else record.population_resident
     return 0.0
 
 
@@ -72,9 +72,7 @@ def exposure_matrix(
     h_index = {h: j for j, h in enumerate(hours)}
     cells = np.zeros((len(tract_ids), len(hours)))
     for r in records:
-        if r.laeq is not None and r.laeq > theta:
-            pop = r.population_defacto if basis == BASIS_DEFACTO else r.population_resident
-            cells[t_index[r.tract_id], h_index[r.hour_start]] = pop
+        cells[t_index[r.tract_id], h_index[r.hour_start]] = exposed(r, theta, basis)
     return ExposureMatrix(theta=theta, tract_ids=tract_ids, hours=hours, cells=cells, basis=basis)
 
 

@@ -1,13 +1,13 @@
-"""The one format of every table the pipeline writes, and its reader.
+r"""The one format of every table the pipeline writes, and its reader.
 
 A table is a header and rows of plain Python values, with hours already
 formatted by ``hour``. ``write`` stores it in the format that the suffix
 of its path names:
 
-- csv: the header line, then one line per row. A cell that is None is an
-  empty field (an absent value is never 0 or NaN), a str is written as it is,
-  and anything else as its ``repr``, which for a float is the shortest text
-  that reads back to the same float.
+- csv: the ``csv`` module's dialect, with minimal quoting and ``\n`` line ends:
+  only a cell that holds a comma, a quote or a line end is quoted. None is an
+  empty field (an absent value is never 0 or NaN), a float is its ``repr``, the
+  shortest text that reads back to the same float, and anything else its ``str``.
 - json: an array of records, one object per row keyed by the header, with
   sorted keys and an indent of 1.
 
@@ -18,10 +18,14 @@ removes its temporary file and leaves the old artifact as it was.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import MalformedRow
@@ -60,13 +64,15 @@ def write(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     if Path(path).suffix == ".json":
         write_json(path, [dict(zip(header, row)) for row in rows])
         return
+    rows = chain([header], rows)
+    write_atomic(path, lambda fh: csv_writer(lambda line: fh.write(line + "\n")).writerows(rows))
 
-    def lines(fh):
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([c if isinstance(c, str) else "" if c is None else repr(c) for c in row]) + "\n")
 
-    write_atomic(path, lines)
+def csv_writer(write):
+    r"""A ``csv.writer`` that passes each row, without its line end, to
+    ``write``. Rows end in "\r\n" inside it, so that it quotes a "\r" as it
+    does a "\n": the csv module of Python 3.11 quotes only its line end's."""
+    return csv.writer(SimpleNamespace(write=lambda line: write(line[:-2])), lineterminator="\r\n")
 
 
 def read(path, header: Sequence[str | None]) -> tuple[list[str], list[list]]:
@@ -76,22 +82,26 @@ def read(path, header: Sequence[str | None]) -> tuple[list[str], list[list]]:
     cell is the str written; a json cell is the value written.
 
     A torn or foreign table raises MalformedRow: a wrong header, a row
-    without its fields, or a csv table whose last row has no line end.
+    without its fields, a stray quote, or a last csv row with no line end.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_bytes().decode("utf-8")  # a "\r" in a quoted cell stays
     if path.suffix == ".json":
         return list(header), _records(text, header)
-    lines = text.splitlines()
-    names = lines[0].split(",") if lines else []
-    if len(names) != len(header) or any(want is not None and want != got for want, got in zip(header, names)):
-        raise MalformedRow(1, "expected header " + ",".join(want or "*" for want in header))
     if not text.endswith("\n"):
-        raise MalformedRow(len(lines), "row cut short: no line end")
-    rows = [line.split(",") for line in lines[1:]]
-    for lineno, fields in enumerate(rows, start=2):
-        if len(fields) != len(names):
-            raise MalformedRow(lineno, f"expected {len(names)} fields, got {len(fields)}")
+        raise MalformedRow(text.count("\n") + 1, "row cut short: no line end")
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        names = next(reader, [])
+        if len(names) != len(header) or any(want is not None and want != got for want, got in zip(header, names)):
+            raise MalformedRow(1, "expected header " + ",".join(want or "*" for want in header))
+        rows = []
+        for fields in reader:
+            if len(fields) != len(names):
+                raise MalformedRow(reader.line_num, f"expected {len(names)} fields, got {len(fields)}")
+            rows.append(fields)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
     return names, rows
 
 

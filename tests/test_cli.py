@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import airnoise
-from airnoise import cli, gbm, ingest, shapley
+from airnoise import cli, fusion, gbm, ingest, shapley
 from airnoise.cli import build_parser, load_config_file, main, resolve_config
 from airnoise.errors import InvalidConfig, NonFiniteTarget
 
@@ -451,6 +451,31 @@ def test_report_parses_each_input_once(small_bundle, tmp_path, layer_calls):
     assert _report(small_bundle, out) == 0  # warm: the laeq and features stages are read back
     assert layer_calls["parse_spl"] == layer_calls["parse_flights"] == 0
     assert max(layer_calls.values()) == 1
+
+
+def test_ids_that_need_quoting_survive_every_artifact(quoted_bundle, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["report", "--in", str(quoted_bundle), "--out", str(out), "--seed", "3"]
+    assert main(argv) == 0
+    cold = (out / "report.json").read_bytes()
+    calls = collections.Counter()
+    for module, name in ((ingest, "parse_spl"), (fusion, "build_features")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0  # warm: every cached artifact reads back
+    assert calls == {}
+    assert (out / "report.json").read_bytes() == cold
+    report = json.loads(cold)
+    assert 'R"2' in report["meta"]["tract_order"]
+    assert any("N,1" in (r["nmt_a"], r["nmt_b"]) for r in report["rotation"])
+    for path in sorted(out.glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh, strict=True)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+    with open(out / "features.csv", newline="", encoding="utf-8") as fh:
+        assert any("," in name for name in next(csv.reader(fh)))
 
 
 # --- the Shapley stage's cache ------------------------------------------------

@@ -17,6 +17,7 @@ from airnoise.ingest import (
     NmtMeta,
     Operation,
     TractMeta,
+    parse_bundle,
     parse_flights,
     parse_nmts,
     parse_population,
@@ -25,6 +26,7 @@ from airnoise.ingest import (
     parse_weather,
     validate_bundle,
     window_hours,
+    write_bundle,
     write_spl,
 )
 
@@ -590,3 +592,14 @@ def test_validate_out_of_window_and_population_gap_findings():
         ("population", ingest.OUT_OF_WINDOW, "2023-01-04T23:00", "T1"),
         ("population", ingest.COVERAGE_GAP, "T1@2023-01-05T00:00", "no population record"),
     ]
+
+
+def test_quoted_ids_survive_a_bundle_round_trip(quoted_bundle, tmp_path):
+    bundle = parse_bundle(quoted_bundle)
+    write_bundle(bundle, tmp_path)
+    back = parse_bundle(tmp_path)
+    assert "N,1" in back.spl.names and spl_rows(back.spl) == spl_rows(bundle.spl)
+    assert (back.flights, back.weather, back.population, back.tracts, back.nmts) == (
+        bundle.flights, bundle.weather, bundle.population, bundle.tracts, bundle.nmts)
+    for path in quoted_bundle.glob("*.csv"):
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

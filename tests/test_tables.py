@@ -90,3 +90,12 @@ def test_foreign_json_raises_malformed_row(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedRow):
         tables.read(path, HEADER)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cells_that_need_quoting_read_back(tmp_path, fmt):
+    path = tmp_path / f"t.{fmt}"
+    header = ("a,b", "q\"t")
+    rows = [("a,b", 'q"t'), ("l\nm", "x\u2028y"), ("r\rs", "")]
+    tables.write(path, header, rows)
+    assert tables.read(path, header) == (list(header), [list(row) for row in rows])
