@@ -4,16 +4,16 @@ Every subcommand reads declared inputs, writes declared outputs under --out,
 and prints a one-line summary. Re-running with unchanged inputs and seed
 produces byte-identical outputs.
 
-Six subcommands (laeq, fuse, exposure, train, explain, report) are one `Run`,
-whose inputs and stages are cached properties. A subcommand reads the stage it
-wants, and a stage reads the inputs and stages it needs, so stages run in the
-order they are first read, each input is parsed once, and each stage runs or
-is read back at most once per command. The study window is pinned first, for
-every command but laeq. The stages laeq, fused, features, models and shap are
-cached: a stage whose inputs and outputs still match its entry in the
-content-hash manifest (`manifest.json` under --out) reads its outputs back,
-and any other stage recomputes them, with identical results either way.
-Exposure and validation always recompute.
+The seven subcommands but synth are each one `Run`, whose inputs and stages
+are cached properties. A subcommand reads the stage it wants, and a stage
+reads the inputs and stages it needs, so stages run in the order they are
+first read, each input is parsed once, and each stage runs or is read back at
+most once per command. The study window is pinned first, for every command
+but laeq. The stages laeq, fused, features, models and shap are cached: a
+stage whose inputs and outputs still match its entry in the content-hash
+manifest (`manifest.json` under --out) reads its outputs back, and any other
+stage recomputes them, with identical results either way. Findings (validate),
+exposure and validation always recompute.
 
 Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
@@ -255,20 +255,6 @@ class Workspace:
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _window(cfg: RunConfig, weather: list[ingest.WeatherHour]) -> tuple[datetime, datetime]:
-    """The configured window; a bound not given is inferred from weather
-    coverage. An empty window (start not before end) is a usage error."""
-    start, end = cfg.window_start, cfg.window_end
-    if start is None or end is None:
-        if not weather:
-            raise InvalidConfig("cannot infer the study window from an empty weather stream")
-        start = start or min(w.hour_start for w in weather)
-        end = end or max(w.hour_start for w in weather) + timedelta(hours=1)
-    if start >= end:
-        raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
-    return (start, end)
-
-
 MODEL_TARGETS = {
     "takeoff": Operation.DEPARTURE,
     "landing": Operation.ARRIVAL,
@@ -407,19 +393,29 @@ def _parsed(stem: str) -> functools.cached_property:
 class Run:
     """One subcommand's inputs and stages, each a cached property (see the
     module docstring). A cached stage reads the stages it depends on before it
-    takes its digest, which covers the files they wrote. ``laeq`` needs no
-    window: it passes ``pin_window=False`` and never reads weather.csv."""
+    takes its digest, which covers the files they wrote. A window bound not
+    given is inferred from weather coverage; an empty window is a usage error.
+    ``laeq`` needs no window: it passes ``pin_window=False`` and never reads
+    weather.csv."""
 
     def __init__(self, args, pin_window: bool = True):
-        self.cfg = resolve_config(args)
+        self.cfg = cfg = resolve_config(args)
         if pin_window:  # before any stage digest, so that an inferred window is part of every cache key
-            given = self.cfg.window_start is not None and self.cfg.window_end is not None
-            start, end = _window(self.cfg, [] if given else self.weather)
-            self.cfg = replace(self.cfg, window_start=start, window_end=end)
+            start, end = cfg.window_start, cfg.window_end
+            if start is None or end is None:
+                if not self.weather:
+                    raise InvalidConfig("cannot infer the study window from an empty weather stream")
+                start = start or min(w.hour_start for w in self.weather)
+                end = end or max(w.hour_start for w in self.weather) + timedelta(hours=1)
+            if start >= end:
+                raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
+            self.cfg = replace(cfg, window_start=start, window_end=end)
         self.ws = Workspace(self.cfg.out_dir)
         if args.command != "report":  # a report.json left here would describe other outputs
             (self.ws.out / "report.json").unlink(missing_ok=True)
 
+    spl = _parsed("spl")
+    flights = _parsed("flights")
     weather = _parsed("weather")
     tracts = _parsed("tracts")
     nmts = _parsed("nmts")
@@ -441,7 +437,8 @@ class Run:
         cfg, out = self.cfg, self.ws.out / "hourly_laeq.csv"
 
         def compute():
-            series = acoustics.hourly_series(ingest.parse_spl(cfg.in_dir / "spl.csv"), cfg.retention_dba)
+            series = acoustics.hourly_series(self.spl, cfg.retention_dba)
+            del self.spl  # no later stage reads the samples, and held through training they raise the peak RSS
             acoustics.write_hourly_laeq(series, out)
             return series
 
@@ -468,8 +465,7 @@ class Run:
         cfg, series, out = self.cfg, self.series, self.ws.out / "features.csv"
 
         def compute():
-            flights = ingest.parse_flights(cfg.in_dir / "flights.csv")
-            table = fusion.build_features(flights, self.weather, self.nmts, series, self.hours)
+            table = fusion.build_features(self.flights, self.weather, self.nmts, series, self.hours)
             fusion.write_features(table, out)
             return table
 
@@ -573,6 +569,16 @@ class Run:
                              compute)
 
     @functools.cached_property
+    def findings(self) -> ingest.ValidationReport:
+        """Coverage, duplicate and reference checks across the six inputs in
+        the window, also written to findings.json. Never cached."""
+        bundle = ingest.Bundle(self.spl, self.flights, self.weather, self.population, self.tracts, self.nmts)
+        report = ingest.validate_bundle(bundle, (self.cfg.window_start, self.cfg.window_end))
+        tables.write_json(self.ws.out / "findings.json",
+                          {"findings": [asdict(f) for f in report.findings], "streams_checked": 6})
+        return report
+
+    @functools.cached_property
     def validation(self):
         """Per-tract diurnal labels and district-pair agreement statistics, also
         written to validation.csv.
@@ -628,13 +634,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = resolve_config(args)
-    bundle = ingest.parse_bundle(cfg.in_dir)
-    window = _window(cfg, bundle.weather)
-    report = ingest.validate_bundle(bundle, window)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    findings = [asdict(f) for f in report.findings]
-    tables.write_json(cfg.out_dir / "findings.json", {"findings": findings, "streams_checked": 6})
+    report = Run(args).findings
     print(f"validate: {report.error_count} finding(s) across 6 streams")
     return 1 if report.error_count else 0
 

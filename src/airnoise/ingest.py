@@ -14,9 +14,11 @@ Schemas (header row shown):
     tracts.csv:     tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use
     nmts.csv:       nmt_id,tract_id,lat,lon
 
-A line may end with ``\n``, ``\r\n`` or ``\r``, as in text mode. A byte
-that is not UTF-8, or a field over the csv module's size limit, is a
-``MalformedRow`` naming its line; a row's line is the last it spans.
+A line may end with ``\n``, ``\r\n`` or ``\r``, as in text mode. The csv
+module reads strictly: a byte that is not UTF-8, a field over its size limit,
+text after a closing quote (``"N"1``) and a quote still open at the end of the
+file are each a ``MalformedRow`` naming its line; a row's line is the last it
+spans. A quote inside an unquoted field (``N"1``) is a plain character.
 
 The SPL stream, the only input that grows with the data, parses into
 columns (``spl.SplColumns``), its only form, not one object per reading.
@@ -163,9 +165,9 @@ def _lines(blocks, lineno: int):
 def _csv_rows(blocks, lineno: int):
     """(line number, fields) of each CSV row in byte blocks of whole lines,
     the first being line ``lineno``. A row's number is that of its last line,
-    as a quoted field may span lines. A row the csv module rejects (a field
-    over its size limit) raises ``MalformedRow``."""
-    reader = csv.reader(_lines(blocks, lineno))
+    as a quoted field may span lines. A row the strict csv module rejects
+    (see the module docstring) raises ``MalformedRow``."""
+    reader = csv.reader(_lines(blocks, lineno), strict=True)
     try:
         for fields in reader:
             yield lineno - 1 + reader.line_num, fields
@@ -562,20 +564,18 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
     spl = bundle.spl
 
     # -- window membership
-    def in_window(ts: datetime) -> bool:
-        return window[0] <= ts < window[1]
-
-    outside = (spl.times < np.datetime64(window[0], "us")) | (spl.times >= np.datetime64(window[1], "us"))
+    start, end = window
+    outside = (spl.times < np.datetime64(start, "us")) | (spl.times >= np.datetime64(end, "us"))
     for i in np.flatnonzero(outside).tolist():
         add(Finding("spl", OUT_OF_WINDOW, spl.times[i].item().isoformat(), f"sample at {spl.names[spl.codes[i]]}"))
     for f in bundle.flights:
-        if not in_window(f.timestamp):
+        if not start <= f.timestamp < end:
             add(Finding("flights", OUT_OF_WINDOW, f.timestamp.isoformat(), f.runway))
     for w in bundle.weather:
-        if not in_window(w.hour_start):
+        if not start <= w.hour_start < end:
             add(Finding("weather", OUT_OF_WINDOW, tables.hour(w.hour_start), ""))
     for p in bundle.population:
-        if not in_window(p.hour_start):
+        if not start <= p.hour_start < end:
             add(Finding("population", OUT_OF_WINDOW, tables.hour(p.hour_start), p.tract_id))
 
     # -- weather coverage: exactly one record per window hour

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,21 @@ def test_validate_broken_bundle_exits_1(small_bundle, tmp_path):
     assert main(["validate", "--in", str(broken), "--out", str(tmp_path / "v")]) == 1
 
 
+def test_silent_terminal_gives_one_spl_gap_per_window_hour(small_bundle, tmp_path):
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    lines = (bundle / "spl.csv").read_bytes().splitlines(keepends=True)
+    (bundle / "spl.csv").write_bytes(b"".join(line for line in lines if not line.startswith(b"NMT5,")))
+    out = tmp_path / "out"
+    assert main(["validate", "--in", str(bundle), "--out", str(out)]) == 1
+    findings = json.loads((out / "findings.json").read_text())["findings"]
+    assert [(f["stream"], f["kind"], f["key"].partition("@")[0]) for f in findings] == [
+        ("spl", "COVERAGE_GAP", "NMT5")] * 72
+    assert len({f["key"] for f in findings}) == 72
+    assert [p.name for p in out.iterdir()] == ["findings.json"]
+    digest = hashlib.sha256((out / "findings.json").read_bytes()).hexdigest()
+    assert digest == "6a752be4e48b70e51d279d1e98fa935b74040c1644d314f130425ef643bd30a0"
+
+
 def test_laeq_rerun_byte_identical(small_bundle, tmp_path):
     out = tmp_path / "out"
     assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
@@ -168,6 +184,35 @@ def test_exposure_removes_tables_of_dropped_thresholds(small_bundle, tmp_path, f
     assert main([*args, "--theta", "60", "--theta", "70"]) == 0
     written = sorted(p.name for prefix in ("exposure_", "gini_") for p in out.glob(f"{prefix}*"))
     assert written == ["exposure_60.csv", "exposure_70.csv", "gini_60.csv", "gini_70.csv"]
+
+
+def test_doubled_population_keeps_gini_and_doubles_exposed_totals(tmp_path):
+    """Gini is scale-free, and a count that doubles doubles each exposed total
+    exactly; no stage between population.csv and gini_*.csv may round."""
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--seed", "3", "--days", "3", "--out", str(bundle)]) == 0
+    doubled = _copy_bundle(bundle, tmp_path / "doubled")
+    population = ingest.parse_population(bundle / "population.csv")
+    ingest.write_population([replace(p, defacto_count=2 * p.defacto_count) for p in population],
+                            doubled / "population.csv")
+    ginis = []
+    for data in (bundle, doubled):
+        out = tmp_path / f"out_{data.name}"
+        assert main(["exposure", "--in", str(data), "--out", str(out)]) == 0
+        ginis.append({p.name: list(csv.reader(p.open(newline=""))) for p in sorted(out.glob("gini_*.csv"))})
+    base, twice = ginis
+    assert sorted(base) == sorted(twice) == ["gini_65.csv", "gini_70.csv"]
+    for name, rows in base.items():
+        assert len(rows) == 1 + 72, name
+        assert [r[1] for r in twice[name]] == [r[1] for r in rows], name
+        assert [float(r[2]) for r in twice[name][1:]] == [2 * float(r[2]) for r in rows[1:]], name
+
+
+def test_laeq_stage_drops_the_samples(small_bundle, tmp_path):
+    """No stage after laeq reads the samples; held through training, they
+    raised the peak RSS of a cold 2-day report by 12%."""
+    run = cli.Run(build_parser().parse_args(["report", "--in", str(small_bundle), "--out", str(tmp_path)]))
+    assert run.series and "spl" not in vars(run)
 
 
 def test_laeq_reads_no_weather(small_bundle, tmp_path):
@@ -444,6 +489,9 @@ def layer_calls(monkeypatch):
 
 
 def test_report_parses_each_input_once(small_bundle, tmp_path, layer_calls):
+    assert main(["validate", "--in", str(small_bundle), "--out", str(tmp_path / "findings")]) == 0
+    assert layer_calls == {name: 1 for name in ONCE[ingest]}  # and no split_data
+    layer_calls.clear()
     out = tmp_path / "out"
     assert _report(small_bundle, out) == 0
     assert layer_calls == {name: 1 for names in ONCE.values() for name in names}
@@ -576,7 +624,7 @@ def test_theta_change_keeps_shapley_fresh(small_bundle, small_report, primed, mo
     assert report["shap"] == json.loads((small_report / "report.json").read_text())["shap"]
 
 
-@pytest.mark.parametrize("command", ["laeq", "fuse", "exposure", "train", "explain"])
+@pytest.mark.parametrize("command", ["validate", "laeq", "fuse", "exposure", "train", "explain"])
 def test_run_subcommand_removes_report_json(small_bundle, primed, command):
     # report.json would describe the outputs of the last report, not these
     assert main([command, "--in", str(small_bundle), "--out", str(primed), "--seed", "11", "--theta", "60"]) == 0
@@ -653,7 +701,7 @@ def test_missing_config_file_exits_2_with_one_line(small_bundle, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {conf}: cannot read config file: No such file or directory\n"
 
 
-@pytest.mark.parametrize("command,first_read", [("validate", "spl.csv"), ("report", "weather.csv")])
+@pytest.mark.parametrize("command,first_read", [("validate", "weather.csv"), ("report", "weather.csv")])
 def test_missing_input_exits_1_with_one_line(tmp_path, capsys, command, first_read):
     missing = tmp_path / "nonexistent"
     capsys.readouterr()

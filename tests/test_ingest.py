@@ -283,6 +283,8 @@ def _spl_text(draw):
             f'"{nmt}",{ts},{level}\n',                 # quoted field
             f'"{nmt},x",{ts},{level}\n',               # quoted comma
             f'"{nmt}\nB",{ts},{level}\n',              # quoted line end
+            f'"{nmt}"1,{ts},{level}\n',                # text after a closing quote
+            f'{nmt},{ts},"{level}\n',                 # a quote left open
             f"{nmt},{ts},{level}\r\n",                 # CRLF
             f"{nmt},{ts},{level}\n\n",                 # blank line after
             f"{nmt},{draw(_ODD_TS)},{level}\n",        # non-canonical timestamp
@@ -506,6 +508,7 @@ def test_write_spl_path_and_empty(tmp_path):
 # --- errors the csv module raises, and the lines errors name -------------------
 
 WEATHER_HEAD = "hour_start,temperature_c,wind_speed_kt,wind_direction_deg,cloud_cover_tenths\n"
+FLIGHTS_HEAD = "timestamp,operation,runway,aircraft_type,engine_type,airline\n"
 
 
 @pytest.mark.parametrize("parse,data,line", [
@@ -545,6 +548,34 @@ def test_error_names_its_physical_line(tmp_path, parse, data, error, line):
         with pytest.raises(error) as exc:
             parse(source)
         assert exc.value.line == line
+
+
+# quoting that the csv module reads only when not strict: text after a
+# closing quote (read as "N1" and "10.03"), and a quote still open at the end
+# of the file (read as "10.0\n")
+@pytest.mark.parametrize("parse,data", [
+    (parse_nmts, 'nmt_id,tract_id,lat,lon\n"N"1,R01,40.0,"10.0"3\n'),
+    (parse_nmts, 'nmt_id,tract_id,lat,lon\nN1,R01,40.0,"10.0\n'),
+    (parse_weather, WEATHER_HEAD + '2023-01-05T09:00,"1.0"5,2.0,30.0,3\n'),
+    (parse_weather, WEATHER_HEAD + '2023-01-05T09:00,1.0,2.0,30.0,"3\n'),
+    (parse_population, 'tract_id,hour_start,defacto_count\nT1,2023-01-05T09:00,"5"0\n'),
+    (parse_population, 'tract_id,hour_start,defacto_count\nT1,2023-01-05T09:00,"50\n'),
+    (parse_flights, FLIGHTS_HEAD + '2023-01-05T09:00:00,ARRIVAL,32L,"A"320,V2500,KE\n'),
+    (parse_flights, FLIGHTS_HEAD + '2023-01-05T09:00:00,ARRIVAL,32L,A320,V2500,"KE\n'),
+    (parse_tracts, 'tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use\n'
+                   'T1,D1,"37.5"1,127.0,5,MIXED\n'),
+    (parse_spl, SPL_HEADER + '"N"1,2023-01-05T09:00:03,50\n'),
+    (parse_spl, SPL_HEADER + 'N1,2023-01-05T09:00:03,"50\n'),
+    (ingest._parse_spl_rows, SPL_HEADER + 'N1,2023-01-05T09:00:03,"50\n'),
+], ids=["nmts-after", "nmts-open", "weather-after", "weather-open", "population-after", "population-open",
+        "flights-after", "flights-open", "tracts-after", "spl-after", "spl-open", "spl-rows-open"])
+def test_text_after_a_closing_quote_or_an_open_quote_is_a_malformed_row(tmp_path, parse, data):
+    path = tmp_path / "input.csv"
+    path.write_text(data, encoding="utf-8")
+    for source in (data, path):
+        with pytest.raises(MalformedRow) as exc:
+            parse(source)
+        assert exc.value.line == 2
 
 
 def test_spl_quoted_header_goes_to_the_row_parser():
