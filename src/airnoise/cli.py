@@ -10,10 +10,10 @@ reads the inputs and stages it needs, so stages run in the order they are
 first read, each input is parsed once, and each stage runs or is read back at
 most once per command. The study window is pinned first, for every command
 but laeq. The stages laeq, fused, features, models and shap are cached: a
-stage whose inputs and outputs still match its entry in the content-hash
-manifest (`manifest.json` under --out) reads its outputs back, and any other
-stage recomputes them, with identical results either way. Findings (validate),
-exposure and validation always recompute.
+stage whose parameters, input files, code and outputs still match its entry in
+the content-hash manifest (`manifest.json` under --out) reads its outputs back,
+and any other stage recomputes them, with identical results either way (see
+`Workspace`). Findings (validate), exposure and validation always recompute.
 
 Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
@@ -210,8 +210,20 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def _code_identity() -> str:
+    """The sha256 of the package's modules, each paired with its name: part of
+    every stage digest, so that no stage reads back what other code wrote."""
+    modules = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(repr([(p.name, p.read_bytes()) for p in modules]).encode("utf-8")).hexdigest()
+
+
 class Workspace:
-    """Stage cache rooted at the output directory."""
+    """Stage cache rooted at the output directory, a verifying trace: each entry
+    holds the digest of the stage's parameters, input files and code, and the
+    sha256 of each output. A command hashes each file once (``hashes``): an
+    input when a digest first names it, an output when a hit checks it or a
+    miss writes it."""
 
     def __init__(self, out_dir: Path):
         self.out = Path(out_dir)
@@ -222,12 +234,19 @@ class Workspace:
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, or not JSON
             manifest = {}
         self.manifest = manifest if isinstance(manifest, dict) else {}  # anything else counts as empty
+        self.hashes: dict[Path, str] = {}
+
+    def _sha256(self, path: Path) -> str:
+        if path not in self.hashes:
+            self.hashes[path] = _file_sha256(path)
+        return self.hashes[path]
 
     def digest(self, *parts) -> str:
-        """The sha256 of the repr of ``parts``, each file among them replaced by
-        the sha256 of its bytes, so that no two different inputs share it."""
-        named = [_file_sha256(p) if isinstance(p, Path) else p for p in parts]
-        return hashlib.sha256(repr(named).encode("utf-8")).hexdigest()
+        """The sha256 of the repr of ``parts`` and the code identity, each file
+        among the parts replaced by the sha256 of its bytes, so that no two
+        different inputs share it."""
+        named = [self._sha256(p) if isinstance(p, Path) else p for p in parts]
+        return hashlib.sha256(repr([*named, _code_identity()]).encode("utf-8")).hexdigest()
 
     def stage(self, name: str, parts, outputs: list[Path], load, compute):
         """The result of a cached stage. If the stage last ran on the digest of
@@ -237,7 +256,7 @@ class Workspace:
         digest = self.digest(*parts)
         entry = self.manifest.get(name)
         recorded = entry.get("outputs") if isinstance(entry, dict) and entry.get("digest") == digest else None
-        if isinstance(recorded, dict) and all(p.exists() and recorded.get(p.name) == _file_sha256(p) for p in outputs):
+        if isinstance(recorded, dict) and all(p.exists() and recorded.get(p.name) == self._sha256(p) for p in outputs):
             try:
                 return load()
             except (AirnoiseError, ValueError):
@@ -247,7 +266,8 @@ class Workspace:
         if self.manifest.pop(name, None) is not None:
             tables.write_json(self.manifest_path, self.manifest)
         result = compute()
-        self.manifest[name] = {"digest": digest, "outputs": {p.name: _file_sha256(p) for p in outputs}}
+        self.hashes.update((p, _file_sha256(p)) for p in outputs)  # the old hash of a rewritten file goes
+        self.manifest[name] = {"digest": digest, "outputs": {p.name: self.hashes[p] for p in outputs}}
         tables.write_json(self.manifest_path, self.manifest)
         return result
 
@@ -510,7 +530,7 @@ class Run:
         def load():
             return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
 
-        parts = (self.ws.out / "features.csv", vars(cfg.train_config()), cfg.seed)
+        parts = (self.ws.out / "features.csv", vars(cfg.train_config()))
         return self.ws.stage("models", parts, list(outputs.values()), load, compute)
 
     @functools.cached_property
@@ -701,22 +721,10 @@ def cmd_report(args) -> int:
             }
             for t, m in matrices.items()
         },
-        "gini": {
-            exposure.theta_tag(t): [
-                {"hour": tables.hour(e.hour), "gini": e.gini,
-                 "exposed_total": e.exposed_total, "mean_exposure": e.mean_exposure}
-                for e in s.entries
-            ]
-            for t, s in ginis.items()
-        },
-        "comparison": {
-            exposure.theta_tag(t): [
-                {"hour": tables.hour(r["hour"]), "defacto_total": r["defacto_total"],
-                 "residential_total": r["residential_total"], "delta": r["delta"]}
-                for r in rows
-            ]
-            for t, rows in comparisons.items()
-        },
+        "gini": {exposure.theta_tag(t): [{**asdict(e), "hour": tables.hour(e.hour)} for e in s.entries]
+                 for t, s in ginis.items()},
+        "comparison": {exposure.theta_tag(t): [{**r, "hour": tables.hour(r["hour"])} for r in rows]
+                       for t, rows in comparisons.items()},
         "rotation": [{"nmt_a": a, "nmt_b": b, "correlation": r} for (a, b), r in sorted(correlations.items())],
         "model": {
             name: {

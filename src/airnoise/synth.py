@@ -281,48 +281,33 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     rng_spl = substream(config.seed, "synth.jitter")
 
     # --- layout -----------------------------------------------------------
+    # one row per group of tracts, in tract order: id prefix, count, district,
+    # first centroid, centroid step, residents, land use, and the runway side
+    # of the terminal that each tract of the group carries (None: none)
+    layout = (
+        ("R", config.near_32r_tracts, "perimeter", (40.00, 10.02), (0.005, 0.01),
+         RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL, RUNWAY_EAST),
+        ("L", config.near_32l_tracts, "perimeter", (40.00, 9.97), (0.005, -0.01),
+         RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL, RUNWAY_WEST),
+        ("C", COMMERCIAL_TRACTS, "downtown", (40.01, 10.05), (0.005, 0.01),
+         COMMERCIAL_RESIDENTS, LandUse.COMMERCIAL, RUNWAY_EAST),
+        ("S", RESIDENTIAL_TRACTS, "perimeter", (39.95, 10.00), (-0.005, 0.02),
+         RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL, None),
+    )
     tracts: list[TractMeta] = []
     nmts: list[NmtMeta] = []
     nmt_side: dict[str, str] = {}
-    diurnal: dict[str, str] = {}
-    donors: list[str] = []
-    commercial: list[str] = []
-
-    def add_tract(tract_id, district, lat, lon, residents, land_use):
-        tracts.append(TractMeta(tract_id, district, (lat, lon), residents, land_use))
-
-    nmt_no = 0
-
-    def add_nmt(tract_id, lat, lon, side):
-        nonlocal nmt_no
-        nmt_no += 1
-        nmt_id = f"NMT{nmt_no}"
-        nmts.append(NmtMeta(nmt_id, tract_id, (lat, lon)))
-        nmt_side[nmt_id] = side
-
-    for i in range(config.near_32r_tracts):
-        tid = f"R{i + 1:02d}"
-        add_tract(tid, "perimeter", 40.00 + 0.005 * i, 10.02 + 0.01 * i, RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL)
-        add_nmt(tid, 40.00 + 0.005 * i, 10.02 + 0.01 * i, RUNWAY_EAST)
-        donors.append(tid)
-        diurnal[tid] = "NIGHTTIME_PEAK"
-    for i in range(config.near_32l_tracts):
-        tid = f"L{i + 1:02d}"
-        add_tract(tid, "perimeter", 40.00 + 0.005 * i, 9.97 - 0.01 * i, RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL)
-        add_nmt(tid, 40.00 + 0.005 * i, 9.97 - 0.01 * i, RUNWAY_WEST)
-        donors.append(tid)
-        diurnal[tid] = "NIGHTTIME_PEAK"
-    for i in range(COMMERCIAL_TRACTS):
-        tid = f"C{i + 1:02d}"
-        add_tract(tid, "downtown", 40.01 + 0.005 * i, 10.05 + 0.01 * i, COMMERCIAL_RESIDENTS, LandUse.COMMERCIAL)
-        add_nmt(tid, 40.01 + 0.005 * i, 10.05 + 0.01 * i, RUNWAY_EAST)
-        commercial.append(tid)
-        diurnal[tid] = "DAYTIME_PEAK"
-    for i in range(RESIDENTIAL_TRACTS):
-        tid = f"S{i + 1:02d}"
-        add_tract(tid, "perimeter", 39.95 - 0.005 * i, 10.00 + 0.02 * i, RESIDENTIAL_RESIDENTS, LandUse.RESIDENTIAL)
-        donors.append(tid)
-        diurnal[tid] = "NIGHTTIME_PEAK"
+    for prefix, count, district, (lat, lon), (dlat, dlon), residents, land_use, side in layout:
+        for i in range(count):
+            tid = f"{prefix}{i + 1:02d}"
+            centroid = (lat + dlat * i, lon + dlon * i)
+            tracts.append(TractMeta(tid, district, centroid, residents, land_use))
+            if side is not None:
+                nmt_id = f"NMT{len(nmts) + 1}"
+                nmts.append(NmtMeta(nmt_id, tid, centroid))
+                nmt_side[nmt_id] = side
+    commercial = {t.tract_id for t in tracts if t.land_use is LandUse.COMMERCIAL}
+    diurnal = {t.tract_id: "DAYTIME_PEAK" if t.tract_id in commercial else "NIGHTTIME_PEAK" for t in tracts}
 
     n_nmts = len(nmts)
     bases = np.linspace(BASE_LEVEL - BASE_SPREAD, BASE_LEVEL + BASE_SPREAD, n_nmts)
@@ -375,7 +360,7 @@ def generate(config: ScenarioConfig) -> tuple[Bundle, GroundTruth]:
     for h in hours:
         day_factor = WEEKEND_FACTOR if h.weekday() >= 5 else 1.0
         inflow = COMMUTER_INFLOW * commuter_wave(h.hour) * day_factor
-        outflow_each = inflow * len(commercial) / len(donors)
+        outflow_each = inflow * len(commercial) / (len(tracts) - len(commercial))
         for t in tracts:
             if t.tract_id in commercial:
                 count = COMMERCIAL_BASE + inflow

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import airnoise
-from airnoise import cli, fusion, gbm, ingest, shapley
+from airnoise import acoustics, cli, fusion, gbm, ingest, shapley
 from airnoise.cli import build_parser, load_config_file, main, resolve_config
 from airnoise.errors import InvalidConfig, NonFiniteTarget
 
@@ -464,6 +464,47 @@ def test_malformed_manifest_is_a_miss(small_bundle, tmp_path, manifest):
     assert laeq.stat().st_ino != inode  # recomputed and written again
     assert isinstance(json.loads(path.read_text())["laeq"]["outputs"], dict)
     assert sorted(p.name for p in out.iterdir()) == ["hourly_laeq.csv", "manifest.json"]
+
+
+# the layer function that each cached stage calls when it recomputes
+STAGE_WORK = ((acoustics, "hourly_series"), (fusion, "fuse"), (fusion, "build_features"), (gbm, "train"),
+              (shapley, "shapley_batch"))
+
+
+def test_changed_code_recomputes_every_cached_stage(small_bundle, primed, monkeypatch, cpus):
+    """The package's code is part of every stage digest, so that artifacts
+    written by other code are never read back; the same code writes the
+    same bytes, so only manifest.json changes."""
+    cpus(1)  # both models fit in this process, where their calls are counted
+    before = {p.name: p.read_bytes() for p in primed.iterdir()}
+    calls = collections.Counter()
+    for module, name in STAGE_WORK:
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(cli, "_code_identity", lambda: "other code")
+    assert _report(small_bundle, primed) == 0
+    assert calls == {"hourly_series": 1, "fuse": 1, "build_features": 1, "train": 2, "shapley_batch": 2}
+    after = {p.name: p.read_bytes() for p in primed.iterdir()}
+    assert after.pop("manifest.json") != before.pop("manifest.json")
+    assert after == before
+
+
+def test_report_hashes_each_file_once(small_bundle, tmp_path, monkeypatch):
+    calls = collections.Counter()
+    real = cli._file_sha256
+
+    def counted(path):
+        calls[path] += 1
+        return real(path)
+
+    monkeypatch.setattr(cli, "_file_sha256", counted)
+    out = tmp_path / "out"
+    for run in ("cold", "warm"):
+        calls.clear()
+        assert _report(small_bundle, out) == 0
+        assert calls and max(calls.values()) == 1, (run, calls.most_common(3))
 
 
 # layer functions that a run calls once at most, each through its module
@@ -918,7 +959,8 @@ def test_worker_death_exits_1_with_one_line(small_bundle, tmp_path, capsys, no_w
 # --- every artifact's bytes ----------------------------------------------------
 
 # sha256 of every file that `validate` and then `report --seed 11` write into
-# an empty --out on the seed-11 3-day bundle, per --format
+# an empty --out on the seed-11 3-day bundle, per --format, with the code
+# identity in the manifest's stage digests held at a fixed string
 GOLDEN = {
     "csv": {
         "compare.csv": "3d23529f6ee065743fee1b08669a7603ca24d7dcaf56d16cf502d8b7074a2894",
@@ -930,7 +972,7 @@ GOLDEN = {
         "gini_65.csv": "5ab2ec6d4b6f7cf51d75bdd17ebc74e8089105bc9e22cc3d7939390dda805a47",
         "gini_70.csv": "c9758f8d3a8573f202c36b91b1ba14d09f554e778f58584c9d272ea8818576a6",
         "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
-        "manifest.json": "2a7bc9546a7f06bc93676dc44bc02d08397e1b9316e3578717f3e37a880a6f87",
+        "manifest.json": "f1c65fcd40d6bd965ffce4c0d2655b019988df79f646a5d8225f49a77a470b06",
         "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
         "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
         "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
@@ -967,7 +1009,7 @@ GOLDEN = {
         "gini_65.json": "1b40ca88146986fa9812b118afc5e58e149b12964b58f456f13b2afde44029dd",
         "gini_70.json": "00b210ef9c500f9f9ad2fda3d5f68b9cc4c76234dec54b63143fd61bd61f9bbf",
         "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
-        "manifest.json": "194bd56499a57902d6c8ddb7db75a9d8ed952843a640dad029be70268d3d39cc",
+        "manifest.json": "be5b7504a7cd698c14a4f4fdbbbe49d204df20a7e28d723e5141f73f35ea1027",
         "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
         "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
         "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
@@ -998,7 +1040,8 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN))
-def test_artifact_bytes_pinned(small_bundle, tmp_path, fmt):
+def test_artifact_bytes_pinned(small_bundle, tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "_code_identity", lambda: "pinned")
     out = tmp_path / "out"
     assert main(["validate", "--in", str(small_bundle), "--out", str(out), "--format", fmt]) == 0
     assert _report(small_bundle, out, "--format", fmt) == 0
