@@ -8,7 +8,7 @@ level: 0 dBA is a valid physical reading, so absence is never encoded as a
 number.
 
 ``hourly_series`` takes the SPL stream in its only form, ``spl.SplColumns``:
-one stable sort on a (terminal, hour) key groups the samples, and each
+its one stable sort by (terminal, time) groups the samples by hour, and each
 group's retained levels go through ``laeq``. Only the grouping is
 vectorised. Each power stays Python's ``10.0 ** ((lv - peak) / 10.0)``,
 summed with ``math.fsum``: ``np.power`` may take a SIMD code path whose last
@@ -71,7 +71,7 @@ def hourly_series(
     retained or not, against the nominal 1200 per hour. Output is sorted by
     (terminal, hour).
     """
-    order, starts, keys = samples.hour_groups()
+    order, starts, keys, _ = samples.hour_groups()
     levels = samples.levels[order]
     ends = np.r_[starts[1:], len(levels)].tolist()
     out = []

@@ -628,7 +628,7 @@ class Run:
             except AirnoiseError:
                 return None
 
-        district_series = validation.aggregate_to_district(tract_series, {t: district_of[t] for t in by_tract})
+        district_series = validation.aggregate_to_district(tract_series, district_of)
         pairs = [{"a": a.key, "b": b.key, "r2_absolute": r2(a, b), "r2_pct_change": r2(a, b, validation.pct_change)}
                  for i, a in enumerate(district_series) for b in district_series[i + 1:]]
         rows = [("diurnal", tract, label) for tract, label in sorted(diurnal.items())]

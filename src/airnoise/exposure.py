@@ -81,7 +81,8 @@ def exposure_matrices(
     thetas: Iterable[float],
     basis: str = BASIS_DEFACTO,
 ) -> dict[float, ExposureMatrix]:
-    """All thresholds in one pass over the records."""
+    """One matrix per distinct threshold, in ascending order; each threshold
+    is its own pass over the records."""
     return {theta: exposure_matrix(records, theta, basis) for theta in sorted(set(thetas))}
 
 
@@ -116,11 +117,10 @@ def gini_pairwise(values: Sequence[float]) -> float | None:
         return None
     if np.any(v < 0):
         raise NegativeValue("gini requires non-negative values")
-    mu = float(np.mean(v))
-    if mu == 0.0:
+    total = float(np.sum(v))  # not the mean, which underflows to 0 for [0, 5e-324]
+    if total == 0.0:
         return None
-    n = v.size
-    return float(np.abs(v[:, None] - v[None, :]).sum()) / (2.0 * n * n * mu)
+    return float(np.abs(v[:, None] - v[None, :]).sum()) / (2.0 * v.size * total)
 
 
 def gini_series(matrix: ExposureMatrix) -> GiniSeries:

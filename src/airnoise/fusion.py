@@ -89,7 +89,7 @@ def map_tracts(
     containing: only tracts that contain a terminal are mapped; two terminals
     in one tract is an error. nearest: every tract maps to the terminal with
     the smallest great-circle centroid distance, ties to the lexicographically
-    smaller terminal id.
+    smaller terminal id; with no terminal, no tract is mapped.
     """
     tract_by_id = {t.tract_id: t for t in tracts}
     for n in nmts:
@@ -108,7 +108,7 @@ def map_tracts(
 
     if mode == MAPPING_NEAREST_CENTROID:
         mapping = {}
-        for t in tracts:
+        for t in tracts if nmts else ():
             best = min(nmts, key=lambda n: (great_circle_km(t.centroid, n.location), n.nmt_id))
             mapping[t.tract_id] = best.nmt_id
         return mapping
@@ -164,7 +164,7 @@ def wind_deviation(wind_direction: float, runway_heading: float) -> float:
 
 def runway_heading(runway: str) -> float:
     """Heading in degrees from a runway designator ("32L" -> 320)."""
-    digits = "".join(ch for ch in runway if ch.isdigit())
+    digits = "".join(ch for ch in runway if ch.isdecimal())
     if not digits:
         raise ValueError(f"runway {runway!r} has no numeric designator")
     return (int(digits) * 10.0) % 360.0

@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain
@@ -206,6 +207,15 @@ def _float(value: str, lineno: int, name: str) -> float:
         raise MalformedRow(lineno, f"{name} not numeric") from None
 
 
+def _finite(value: str, lineno: int, column: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float that is finite and in [low, high), or else a
+    ``RangeViolation`` naming the line and the column; NaN fails every bound."""
+    x = _float(value, lineno, column)
+    if not (math.isfinite(x) and low <= x < high):
+        raise RangeViolation(lineno, column, x, f"{'[' if math.isfinite(low) else '('}{low:g}, {high:g})")
+    return x
+
+
 def _int(value: str, lineno: int, name: str) -> int:
     try:
         return int(value)
@@ -336,6 +346,8 @@ def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
 def parse_flights(source) -> list[FlightEvent]:
     out = []
     for lineno, (ts, op, runway, actype, engine, airline) in _rows(source, FLIGHTS_HEADER):
+        if not any(ch.isdecimal() for ch in runway):  # the rule of fusion.runway_heading
+            raise MalformedRow(lineno, f"runway {runway!r} has no numeric designator")
         out.append(FlightEvent(
             _datetime(ts, lineno, "timestamp"),
             _enum(Operation, op, lineno, "operation"),
@@ -352,16 +364,13 @@ def parse_weather(source) -> list[WeatherHour]:
         if hs in seen:
             raise DuplicateKey(lineno, tables.hour(hs))
         seen.add(hs)
-        ws = _float(wind, lineno, "wind_speed")
-        if ws < 0:
-            raise RangeViolation(lineno, "wind_speed_kt", ws, "[0, inf)")
-        wd = _float(wdir, lineno, "wind_direction")
-        if not 0 <= wd < 360:
-            raise RangeViolation(lineno, "wind_direction_deg", wd, "[0, 360)")
+        temperature = _finite(temp, lineno, "temperature_c")
+        ws = _finite(wind, lineno, "wind_speed_kt", 0)
+        wd = _finite(wdir, lineno, "wind_direction_deg", 0, 360)
         cc = _int(cloud, lineno, "cloud_cover")
         if not 0 <= cc <= 10:
             raise RangeViolation(lineno, "cloud_cover_tenths", cc, "[0, 10]")
-        out.append(WeatherHour(hs, _float(temp, lineno, "temperature"), ws, wd, cc))
+        out.append(WeatherHour(hs, temperature, ws, wd, cc))
     return out
 
 
@@ -374,10 +383,7 @@ def parse_population(source) -> list[PopulationRecord]:
         if key in seen:
             raise DuplicateKey(lineno, (tract, tables.hour(hs)))
         seen.add(key)
-        n = _float(count, lineno, "defacto_count")
-        if n < 0:
-            raise RangeViolation(lineno, "defacto_count", n, "[0, inf)")
-        out.append(PopulationRecord(tract, hs, n))
+        out.append(PopulationRecord(tract, hs, _finite(count, lineno, "defacto_count", 0)))
     return out
 
 
@@ -388,13 +394,10 @@ def parse_tracts(source) -> list[TractMeta]:
         if tract in seen:
             raise DuplicateKey(lineno, tract)
         seen.add(tract)
-        res = _float(residents, lineno, "resident_count")
-        if res < 0:
-            raise RangeViolation(lineno, "resident_count", res, "[0, inf)")
         out.append(TractMeta(
             tract, district,
-            (_float(lat, lineno, "centroid_lat"), _float(lon, lineno, "centroid_lon")),
-            res, _enum(LandUse, land_use, lineno, "land_use"),
+            (_finite(lat, lineno, "centroid_lat"), _finite(lon, lineno, "centroid_lon")),
+            _finite(residents, lineno, "resident_count", 0), _enum(LandUse, land_use, lineno, "land_use"),
         ))
     return out
 
@@ -406,7 +409,7 @@ def parse_nmts(source) -> list[NmtMeta]:
         if nmt in seen:
             raise DuplicateKey(lineno, nmt)
         seen.add(nmt)
-        out.append(NmtMeta(nmt, tract, (_float(lat, lineno, "lat"), _float(lon, lineno, "lon"))))
+        out.append(NmtMeta(nmt, tract, (_finite(lat, lineno, "lat"), _finite(lon, lineno, "lon"))))
     return out
 
 
@@ -557,7 +560,8 @@ def window_hours(window: tuple[datetime, datetime]) -> list[datetime]:
 
 
 def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> ValidationReport:
-    """Check coverage, duplicates and references across streams."""
+    """Check coverage, duplicates and references across streams. The SPL
+    stream is put in order once, by ``SplColumns.hour_groups``."""
     report = ValidationReport()
     hours = window_hours(window)
     add = report.findings.append
@@ -594,13 +598,10 @@ def validate_bundle(bundle: Bundle, window: tuple[datetime, datetime]) -> Valida
 
     # -- SPL duplicates (every repeat of a (terminal, timestamp), in file
     #    order), coverage and per-NMT-hour completeness
-    order = np.lexsort((spl.times, spl.codes))  # stable: a key's first sample sorts first
-    codes, times = spl.codes[order], spl.times[order]
-    repeat = (codes[1:] == codes[:-1]) & (times[1:] == times[:-1])
-    for i in np.sort(order[1:][repeat]).tolist():
+    _, starts, keys, repeats = spl.hour_groups()
+    for i in repeats.tolist():
         add(Finding("spl", DUPLICATE_KEY, f"{spl.names[spl.codes[i]]}@{spl.times[i].item().isoformat()}",
                     "duplicate sample"))
-    _, starts, keys = spl.hour_groups()
     counts = dict(zip(keys, np.diff(np.r_[starts, len(spl)]).tolist()))
     nmt_ids = {n.nmt_id for n in bundle.nmts}
     for n in sorted(nmt_ids):

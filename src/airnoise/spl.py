@@ -5,7 +5,8 @@ grows with the data, so it is held in columns, not as one object per
 reading: ``SplColumns`` keeps a terminal code per sample (indexing the
 sorted terminal ids), a ``datetime64[us]`` timestamp and a float64 level,
 each column read-only. It is the stream's only type: the parser returns it,
-and the writer, the validator and the LAeq stage take it.
+the writer takes it, and ``hour_groups`` puts it in its one order, a stable
+sort by (terminal, time), for the validator and the LAeq stage.
 
 ``parse_block`` is the fast path of ``ingest.parse_spl``: it turns one block
 of the file's bytes into columns with array operations, reading each level
@@ -70,27 +71,27 @@ class SplColumns:
     def __repr__(self) -> str:
         return f"SplColumns({len(self)} samples at {', '.join(self.names)})"
 
-    def hour_groups(self) -> tuple[np.ndarray, np.ndarray, list[tuple[str, datetime]]]:
-        """Group the samples by (terminal, hour start) with one stable sort.
+    def hour_groups(self) -> tuple[np.ndarray, np.ndarray, list[tuple[str, datetime]], np.ndarray]:
+        """Group the samples by (terminal, hour start) with one stable
+        ``np.lexsort`` by (terminal, time), the only sort of the stream.
 
-        Returns the sorting permutation, the start of each group in it, and
-        the groups' keys, sorted by terminal id and then hour.
+        Returns the sorting permutation, the start of each group in it, the
+        groups' keys sorted by terminal id and then hour, and the file
+        positions, ascending, of every sample whose (terminal, time) repeats
+        an earlier one's (a stable sort puts the first of them first).
         """
         if not len(self):
-            return np.zeros(0, np.intp), np.zeros(0, np.intp), []
-        hours = self.times.view(np.int64) // _US_PER_HOUR
-        first = int(hours.min())
-        span = int(hours.max()) - first + 1
-        key = self.codes.astype(np.int64) * span + (hours - first)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), [], np.zeros(0, np.intp)
+        order = np.lexsort((self.times, self.codes))
+        codes, hours = self.codes[order], self.times.view(np.int64)[order]
+        same = codes[1:] == codes[:-1]
+        repeats = np.sort(order[1:][same & (hours[1:] == hours[:-1])])
+        hours //= _US_PER_HOUR  # the sorted times become hours in place
+        starts = np.flatnonzero(np.r_[True, ~same | (hours[1:] != hours[:-1])])
         epoch = datetime(1970, 1, 1)
-        keys = [
-            (self.names[k // span], epoch + timedelta(hours=first + k % span))
-            for k in key[starts].tolist()
-        ]
-        return order, starts, keys
+        keys = [(self.names[code], epoch + timedelta(hours=hour))
+                for code, hour in zip(codes[starts].tolist(), hours[starts].tolist())]
+        return order, starts, keys, repeats
 
 
 def parse_block(block: bytes):

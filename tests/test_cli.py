@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -350,6 +351,88 @@ def test_unknown_tract_exits_1_with_one_line(small_bundle, tmp_path, capsys):
     assert main(["fuse", "--in", str(bundle), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: NMT {nmt} references unknown tract NO_SUCH_TRACT\n"
+
+
+@pytest.fixture(scope="module")
+def day_bundle(tmp_path_factory):
+    data = tmp_path_factory.mktemp("day")
+    assert main(["synth", "--seed", "3", "--days", "1", "--out", str(data)]) == 0
+    return data
+
+
+def test_shuffled_spl_with_repeats(day_bundle, tmp_path):
+    """spl.csv's rows shuffled, with repeated (terminal, time) samples:
+    findings.json lists every repeat in file order, and hourly_laeq.csv is
+    that of the same rows stably sorted by (terminal, time)."""
+    header, *rows = (day_bundle / "spl.csv").read_text().splitlines()
+    rng = random.Random(21)
+    rows += [row.rpartition(",")[0] + f",{rng.uniform(40, 90):.2f}" for row in rng.choices(rows, k=60)]
+    rng.shuffle(rows)
+    laeq = {}
+    for name, order in (("shuffled", rows), ("sorted", sorted(rows, key=lambda row: row.split(",")[:2]))):
+        seen: set[tuple[str, str]] = set()
+        expected = []
+        for row in order:
+            nmt, ts, _ = row.split(",")
+            if (nmt, ts) in seen:
+                expected.append({"stream": "spl", "kind": "DUPLICATE_KEY", "key": f"{nmt}@{ts}",
+                                 "detail": "duplicate sample", "severity": "error"})
+            seen.add((nmt, ts))
+        assert len(expected) == 60
+        bundle = _copy_bundle(day_bundle, tmp_path / name)
+        (bundle / "spl.csv").write_text("\n".join([header, *order]) + "\n")
+        out = tmp_path / f"out_{name}"
+        assert main(["validate", "--in", str(bundle), "--out", str(out)]) == 1
+        assert json.loads((out / "findings.json").read_text())["findings"] == expected
+        assert main(["laeq", "--in", str(bundle), "--out", str(out)]) == 0
+        laeq[name] = (out / "hourly_laeq.csv").read_bytes()
+    assert laeq["shuffled"] == laeq["sorted"]
+
+
+def test_nearest_mapping_without_terminals_maps_no_tract(day_bundle, tmp_path, capsys):
+    bundle = _copy_bundle(day_bundle, tmp_path / "bundle")
+    (bundle / "nmts.csv").write_text("nmt_id,tract_id,lat,lon\n")
+    tables = {}
+    for mapping in ("containing", "nearest"):
+        out = tmp_path / mapping
+        capsys.readouterr()
+        assert main(["exposure", "--in", str(bundle), "--out", str(out), "--mapping", mapping]) == 0
+        assert capsys.readouterr().err == ""
+        tables[mapping] = [(out / f"{name}.csv").read_bytes() for name in ("fused", "exposure_65", "gini_65")]
+    assert tables["nearest"] == tables["containing"]
+
+
+def test_population_tract_without_a_district_exits_1_with_one_line(day_bundle, tmp_path, capsys):
+    bundle = _copy_bundle(day_bundle, tmp_path / "bundle")
+    with open(bundle / "population.csv", "a") as fh:
+        fh.write("ZZ,2023-01-01T00:00,5.0\n")
+    out = tmp_path / "out"
+    assert main(["validate", "--in", str(bundle), "--out", str(out)]) == 1
+    assert [f["kind"] for f in json.loads((out / "findings.json").read_text())["findings"]] == ["DANGLING_REFERENCE"]
+    capsys.readouterr()
+    assert main(["report", "--in", str(bundle), "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == "error: tract 'ZZ' has no district\n"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name,column,value,message", [
+    ("tracts.csv", 2, "inf", "error: line 2: centroid_lat=inf outside (-inf, inf)\n"),
+    ("nmts.csv", 3, "nan", "error: line 2: lon=nan outside (-inf, inf)\n"),
+    ("population.csv", 2, "nan", "error: line 2: defacto_count=nan outside [0, inf)\n"),
+    ("flights.csv", 2, "XX", "error: line 2: runway 'XX' has no numeric designator\n"),
+], ids=["centroid-inf", "nmt-lon-nan", "count-nan", "runway-without-digit"])
+def test_non_finite_number_or_runway_without_digit_exits_1_with_one_line(day_bundle, tmp_path, capsys, name,
+                                                                          column, value, message):
+    bundle = _copy_bundle(day_bundle, tmp_path / "bundle")
+    lines = (bundle / name).read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[column] = value
+    lines[1] = ",".join(cells)
+    (bundle / name).write_text("\n".join(lines) + "\n")
+    for command in ("validate", "fuse"):
+        capsys.readouterr()
+        assert main([command, "--in", str(bundle), "--out", str(tmp_path / "out"), "--mapping", "nearest"]) == 1
+        assert _one_error_line(capsys) == message
 
 
 def test_malformed_window_flag_exits_2(small_bundle, tmp_path, capsys):

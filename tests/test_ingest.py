@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import spl_columns, spl_rows
 
-from airnoise import ingest, spl, tables
+from airnoise import fusion, ingest, spl, tables
 from airnoise.errors import AirnoiseError, DuplicateKey, MalformedRow, RangeViolation
 from airnoise.ingest import (
     Bundle,
@@ -458,6 +458,29 @@ def test_validate_findings_order():
         assert report.completeness[("N3", start)] == 0.0
 
 
+@given(st.lists(st.tuples(st.sampled_from(["N2", "N1", "N10"]),
+                          st.integers(0, 40).map(lambda k: datetime(2023, 1, 5) + timedelta(seconds=1110 * k)),
+                          st.sampled_from([50.0, 70.0])), max_size=60))
+def test_hour_groups_against_a_row_reference(rows):
+    """One stable sort by (terminal, time): its permutation, the (terminal,
+    hour) groups it makes, and every repeat of a (terminal, time) by file
+    position, as a dict over the rows in file order finds them."""
+    order, starts, keys, repeats = spl_columns(rows).hour_groups()
+    groups: dict[tuple[str, datetime], int] = {}
+    seen: set[tuple[str, datetime]] = set()
+    expected_repeats = []
+    for i, (nmt, ts, _) in enumerate(rows):
+        hour = ts.replace(minute=0, second=0)
+        groups[nmt, hour] = groups.get((nmt, hour), 0) + 1
+        if (nmt, ts) in seen:
+            expected_repeats.append(i)
+        seen.add((nmt, ts))
+    assert order.tolist() == sorted(range(len(rows)), key=lambda i: rows[i][:2])
+    assert keys == sorted(groups)
+    assert np.diff(np.r_[starts, len(rows)]).tolist() == [groups[k] for k in keys]
+    assert repeats.tolist() == expected_repeats
+
+
 def _spl_csv(samples) -> str:
     buf = io.StringIO()
     write_spl(samples, buf)
@@ -598,12 +621,48 @@ def test_spl_block_with_a_comma_for_a_line_end_falls_back():
     (parse_tracts, "tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use\n",
      ["T1,D1,37.5,127.0,-5,MIXED"], RangeViolation, "resident_count=-5.0"),
     (parse_nmts, "nmt_id,tract_id,lat,lon\n", ["N1,T1,37.5,127.0", "N1,T2,37.5,127.0"], DuplicateKey, "'N1'"),
-], ids=["cloud-cover", "off-hour", "wind-speed", "wind-direction", "defacto-count", "resident-count", "nmt-id"])
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:00,nan,2.0,30.0,3"], RangeViolation, "temperature_c=nan"),
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:00,1.0,nan,30.0,3"], RangeViolation, "wind_speed_kt=nan"),
+    (parse_weather, WEATHER_HEAD, ["2023-01-05T09:00,1.0,inf,30.0,3"], RangeViolation, "wind_speed_kt=inf"),
+    (parse_population, "tract_id,hour_start,defacto_count\n", ["T1,2023-01-05T09:00,nan"], RangeViolation,
+     "defacto_count=nan outside [0, inf)"),
+    (parse_population, "tract_id,hour_start,defacto_count\n", ["T1,2023-01-05T09:00,inf"], RangeViolation,
+     "defacto_count=inf"),
+    (parse_tracts, "tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use\n",
+     ["T1,D1,37.5,127.0,NaN,MIXED"], RangeViolation, "resident_count=nan"),
+    (parse_tracts, "tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use\n",
+     ["T1,D1,inf,127.0,5,MIXED"], RangeViolation, "centroid_lat=inf outside (-inf, inf)"),
+    (parse_tracts, "tract_id,district_id,centroid_lat,centroid_lon,resident_count,land_use\n",
+     ["T1,D1,37.5,-inf,5,MIXED"], RangeViolation, "centroid_lon=-inf"),
+    (parse_nmts, "nmt_id,tract_id,lat,lon\n", ["N1,T1,nan,127.0"], RangeViolation, "lat=nan"),
+    (parse_nmts, "nmt_id,tract_id,lat,lon\n", ["N1,T1,37.5,-Infinity"], RangeViolation, "lon=-inf"),
+    (parse_flights, FLIGHTS_HEAD, ["2023-01-05T09:00:00,ARRIVAL,XX,A320,V2500,KE"], MalformedRow,
+     "runway 'XX' has no numeric designator"),
+], ids=["cloud-cover", "off-hour", "wind-speed", "wind-direction", "defacto-count", "resident-count", "nmt-id",
+        "temperature-nan", "wind-speed-nan", "wind-speed-inf", "defacto-count-nan", "defacto-count-inf",
+        "resident-count-nan", "centroid-lat-inf", "centroid-lon-minus-inf", "nmt-lat-nan", "nmt-lon-minus-inf",
+        "runway-without-digit"])
 def test_parser_rejects_a_row(parse, head, rows, error, reason):
     with pytest.raises(error) as exc:
         parse(head + "\n".join(rows) + "\n")
     assert exc.value.line == len(rows) + 1
     assert reason in str(exc.value)
+
+
+@pytest.mark.parametrize("runway", ["32L", "01", "XX", "", "\u00b2", "1\u00b2R", "\u0663\u0662L"])
+def test_runway_parser_and_heading_agree(runway):
+    """``parse_flights`` takes a runway exactly when ``runway_heading`` can
+    read it: a superscript two is a digit but not a decimal."""
+    try:
+        heading = fusion.runway_heading(runway)
+    except ValueError:
+        heading = None
+    data = FLIGHTS_HEAD + f"2023-01-05T09:00:00,ARRIVAL,{runway},A320,V2500,KE\n"
+    if heading is None:
+        with pytest.raises(MalformedRow):
+            parse_flights(data)
+    else:
+        assert [f.runway for f in parse_flights(data)] == [runway]
 
 
 def test_validate_out_of_window_and_population_gap_findings():
