@@ -34,9 +34,9 @@ errors (a missing input file among them), 2 on usage errors, each reported in
 one line: a bad flag or config value, an unknown flag or subcommand, and a
 missing subcommand among them.
 
-`train`, `explain` and `report` fit the last model of MODEL_TARGETS in one
-forked worker while this process fits the others, when more than one CPU is
-usable (see `_Worker`). The models are the same bytes either way.
+`train`, `explain` and `report` fit the models of MODEL_TARGETS together, in
+one process: `gbm.train_models` grows every model's tree of a round in the
+same levels, and each model comes out as `gbm.train` would fit it alone.
 
 Layer modules that only some commands use are imported inside those commands,
 so that `validate` loads no more than it runs.
@@ -48,9 +48,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
-import signal
-import struct
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta
@@ -58,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acoustics, errors, fusion, ingest, tables
+from . import acoustics, fusion, ingest, tables
 from .errors import AirnoiseError, InvalidConfig, MalformedConfig, UsageError
 from .ingest import Operation
 
@@ -288,105 +285,6 @@ def _model_rows(table: fusion.FeatureTable, name: str):
     return table.matrix[keep], table.laeq[keep], keys
 
 
-# A worker's message: kind (b"T" for the text of its result, b"E" for an
-# exception's class name and message) and the payload's length in bytes.
-_MESSAGE_HEADER = struct.Struct("!cQ")
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class _Worker:
-    """``work()``, which returns text, computed in one forked worker while the
-    caller computes something else; ``result()`` waits for the text.
-
-    Where ``os.fork`` is missing or fails, or only one CPU is usable,
-    ``result()`` calls ``work()`` itself. The worker sends only the text, or
-    the class name and message of what it raised, through a pipe, and the
-    caller alone writes files. The only other thread of the process is
-    OpenBLAS's pool, which stops itself before a fork (``pthread_atfork``).
-    """
-
-    def __init__(self, what: str, work):
-        self.what = what
-        self.work = work
-        self.pid = None
-        if not hasattr(os, "fork") or _usable_cpus() < 2:
-            return
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return
-        if self.pid == 0:
-            self._child(read_fd, write_fd)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-
-    def _child(self, read_fd: int, write_fd: int):
-        """The worker's whole life. It ends in ``os._exit``, so it never
-        returns into the caller's stack, flushes inherited stdio or runs exit
-        handlers and test finalizers; status 0 means a whole message was sent."""
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                kind, text = b"T", self.work()
-            except Exception as exc:
-                kind, text = b"E", f"{type(exc).__name__}\n{exc}"
-            payload = text.encode("utf-8")
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_MESSAGE_HEADER.pack(kind, len(payload)) + payload)
-            status = 0
-        except BaseException:  # a failure on the way out; the parent reports status 1
-            pass
-        finally:
-            os._exit(status)
-
-    def result(self) -> str:
-        """The worker's text, once it has exited; an exception it raised is
-        raised here, and any other failure is a one-line AirnoiseError."""
-        if self.pid is None:
-            return self.work()
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            raise AirnoiseError(f"{self.what} worker killed by signal {-code}")
-        if code > 0:
-            raise AirnoiseError(f"{self.what} worker exited with status {code}")
-        size = _MESSAGE_HEADER.size
-        if len(data) < size or len(data) != size + _MESSAGE_HEADER.unpack_from(data)[1]:
-            raise AirnoiseError(f"{self.what} worker sent a short message ({len(data)} bytes)")
-        text = data[size:].decode("utf-8")
-        if data[:1] == b"T":
-            return text
-        name, _, message = text.partition("\n")
-        cls = getattr(errors, name, None)
-        if isinstance(cls, type) and issubclass(cls, AirnoiseError):
-            exc = cls.__new__(cls)
-            Exception.__init__(exc, message)  # the class and message the worker raised
-            raise exc
-        first_line = (message.splitlines() or [""])[0]
-        raise AirnoiseError(f"{self.what} worker raised {name}: {first_line}")
-
-    def kill(self) -> None:
-        """Stop and reap the worker, if it is still running."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-            self.pipe.close()
-
-
 def _saved_model(text: str):
     """A saved model's history, its number of trees, and a call that decodes
     the trees the first time it is made."""
@@ -505,27 +403,11 @@ class Run:
         def compute():
             train_part, test_part = self.split
             config = cfg.train_config()
-
-            def fit(name):
-                X_train, y_train, _ = _model_rows(train_part, name)
-                X_test, y_test, _ = _model_rows(test_part, name)
-                ens, history = gbm.train(X_train, y_train, X_test, y_test, config, table.feature_names)
-                return ens, history, gbm.to_json(ens, config, history)
-
-            # the fits share no state: the last one runs beside the others
-            *names, last = MODEL_TARGETS
-            worker = _Worker(f"{last} model", lambda: fit(last)[2])
-            try:
-                fitted = {name: fit(name) for name in names}
-                text = worker.result()
-            except BaseException:
-                worker.kill()
-                raise
-            ens, _, history = gbm.from_json(text)
-            fitted[last] = (ens, history, text)
-            for name, (_, _, text) in fitted.items():
-                tables.write_text(outputs[name], text)
-            return {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history, _) in fitted.items()}
+            rows = [(*_model_rows(train_part, name)[:2], *_model_rows(test_part, name)[:2]) for name in MODEL_TARGETS]
+            fitted = dict(zip(MODEL_TARGETS, gbm.train_models(rows, config, table.feature_names)))
+            for name, (ens, history) in fitted.items():
+                tables.write_text(outputs[name], gbm.to_json(ens, config, history))
+            return {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history) in fitted.items()}
 
         def load():
             return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
@@ -603,14 +485,16 @@ class Run:
         """Per-tract diurnal labels and district-pair agreement statistics, also
         written to validation.csv.
 
-        Works from the raw population stream so unmapped tracts are covered too.
+        Works from the raw population stream, in the window, so that tracts
+        with no terminal are covered too.
         """
         from . import validation
 
         district_of = {t.tract_id: t.district_id for t in self.tracts}
         by_tract: dict[str, dict[datetime, float]] = {}
         for p in self.population:
-            by_tract.setdefault(p.tract_id, {})[p.hour_start] = p.defacto_count
+            if self.cfg.window_start <= p.hour_start < self.cfg.window_end:
+                by_tract.setdefault(p.tract_id, {})[p.hour_start] = p.defacto_count
 
         diurnal = {}
         tract_series = []
@@ -701,7 +585,9 @@ def cmd_report(args) -> int:
 
     run = Run(args)
     cfg = run.cfg
-    # the stages run in this order: laeq, fused, features, models, exposure, shap, validation
+    # the stages run in this order: validation (population and tracts only, so that an
+    # unmapped tract fails before any training), laeq, fused, features, models, exposure, shap
+    validation = run.validation
     records, models = run.records, run.models
     matrices, ginis, comparisons, correlations = run.exposure
     summaries = run.shap
@@ -738,7 +624,7 @@ def cmd_report(args) -> int:
             for name, (history, kept, _) in models.items()
         },
         "shap": {name: {"summary": [[f, v] for f, v in ranking]} for name, ranking in summaries.items()},
-        "validation": run.validation,
+        "validation": validation,
     }
     tables.write_json(run.ws.out / "report.json", report)
     print(f"report: wrote {run.ws.out / 'report.json'} "

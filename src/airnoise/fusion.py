@@ -171,9 +171,10 @@ def runway_heading(runway: str) -> float:
 
 
 def rank_combos(flights: Sequence[FlightEvent], top: int = N_COMBO_FEATURES) -> list[str]:
-    """The ``top`` most frequent "aircraft+engine" combos over the window.
+    """The ``top`` most frequent "aircraft+engine" combos among ``flights``,
+    which ``build_features`` gives as the window's flights.
 
-    Ranked once over all flights, ties broken by name so the feature layout
+    Ranked once over all of them, ties broken by name so the feature layout
     is stable for a given dataset.
     """
     counts: dict[str, int] = {}
@@ -236,12 +237,15 @@ def build_features(
     """Assemble the 22-column feature table over every (terminal, hour, operation).
 
     Row order is sorted by (terminal, hour, operation name); row count is
-    |terminals| x |hours| x 2 regardless of flight activity.
+    |terminals| x |hours| x 2 regardless of flight activity. Only the flights
+    of the window ``hours`` count.
     """
     weather_by_hour = {w.hour_start: w for w in weather}
     for hour in hours:
         if hour not in weather_by_hour:
             raise MissingWeather(tables.hour(hour))
+    window = set(hours)
+    flights = [f for f in flights if f.timestamp.replace(minute=0, second=0, microsecond=0) in window]
 
     combos = rank_combos(flights)
     combo_index = {name: i for i, name in enumerate(combos)}

@@ -16,18 +16,20 @@ side. A node is a leaf at max_depth or when no candidate has a positive
 gain; its weight is -G/(H+lambda).
 
 Growth is level-wise and reads G_L and H_L from histograms, as LightGBM
-does (Ke et al., NeurIPS 2017). Each `train` call codes every training
-column once by the rank of its value among the column's distinct values.
-Per level, a bincount over the live rows gives every node's G per code (the
-row counts come from the level above, where they also decide ties), and
-running sums over each feature's codes, started from zero, give G_L and H_L
-at every code. A code that none of a node's rows holds adds nothing and is
-no candidate, so the candidates are exactly those of a search that sorts
-the node's rows: binning approximates nothing. A level costs about
-rows x features + codes x nodes, so few distinct values per feature suit
-it; a continuous column has as many codes as rows. Training and validation
-rows are routed through the levels as they are grown, so a round needs no
-separate prediction pass.
+does (Ke et al., NeurIPS 2017). `train_models` codes every training column
+of all its models once, by the rank of its value among the column's
+distinct values, and each round grows one tree per live model, each from its
+own root, in the same levels (`train` is the case of one model). Per level,
+a bincount over the live rows gives every node's G per code (the row counts
+come from the level above, where they also decide ties), and running sums
+over each feature's codes, started from zero, give G_L and H_L at every
+code. A code that none of a node's rows holds adds nothing and is no
+candidate, so the candidates are exactly those of a search that sorts the
+node's rows: binning, and coding other models' values with a model's own,
+change nothing. A level costs about rows x features + codes x nodes, so few
+distinct values per feature suit it; a continuous column has as many codes
+as rows. Training and validation rows are routed through the levels as they
+are grown, so a round needs no separate prediction pass.
 
 What is exact: the candidate set, the row partitions, the covers, the
 leaf weights and the tie rule below. Each node keeps its rows in the order a
@@ -217,11 +219,13 @@ def _left_sums(bins: _Bins, cells: np.ndarray, n_nodes: int, weights=None) -> np
     return hist.reshape(-1, n_nodes).take(bins.cell, 0)
 
 
-def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray,
-          cfg: TrainConfig) -> tuple[TreeNode, np.ndarray, np.ndarray]:
-    """Grow one tree on gradients ``g`` level by level; return it with its
-    output on every training and validation row. (Gathers use ``take`` on
-    flat arrays: on arrays this small, numpy's call overhead is the cost.)"""
+def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray, roots: list[tuple[np.ndarray, np.ndarray]],
+          cfg: TrainConfig) -> tuple[list[TreeNode], np.ndarray, np.ndarray]:
+    """Grow one tree per root on gradients ``g``, all of them in the same
+    levels. A root holds its tree's training rows (of ``bins``) and
+    validation rows (of ``X_valid``). Return the trees with their output on
+    every root's rows. (Gathers use ``take`` on flat arrays: on arrays this
+    small, numpy's call overhead is the cost.)"""
     lam = cfg.lambda_
     # with h = 1, H is a row count, so a side with rows has H >= 1
     least = max(cfg.min_child_weight, 1.0)
@@ -232,15 +236,15 @@ def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray,
     code_index = np.arange(n_codes)[:, None]
     out_train = np.empty(g.size)
     out_valid = np.empty(X_valid.shape[0])
-    root = TreeNode()
-    level = [root]
+    level = [TreeNode() for _ in roots]
+    trees = list(level)
     # each live row carries the slot of its node within the level
-    rows = np.arange(g.size)
-    slot = np.zeros(g.size, dtype=np.intp)
-    vrows = np.arange(X_valid.shape[0])
-    vslot = np.zeros(X_valid.shape[0], dtype=np.intp)
-    cells = bins.row_cells.ravel()
-    hl = _left_sums(bins, cells, 1)
+    rows = np.concatenate([r for r, _ in roots])
+    slot = np.repeat(np.arange(len(roots)), [r.size for r, _ in roots])
+    vrows = np.concatenate([v for _, v in roots])
+    vslot = np.repeat(np.arange(len(roots)), [v.size for _, v in roots])
+    cells = (bins.row_cells.take(rows, 0) * len(roots) + slot[:, None]).ravel()
+    hl = _left_sums(bins, cells, len(roots))
     depth = 0
     while True:
         K = len(level)
@@ -269,7 +273,7 @@ def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray,
         if parents.size == 0:
             for node, w in zip(level, weight.tolist()):
                 node.weight = w
-            return root, out_train, out_valid
+            return trees, out_train, out_valid
 
         # Route the training rows of splitting nodes to their children, in the
         # order a sort-based grower visits them: the parent's order, stably
@@ -382,60 +386,87 @@ def train(
     round) and the per-round history of train/valid MAE and RMSE for every
     round actually run.
     """
-    X_train = np.asarray(X_train, dtype=np.float64)
-    X_valid = np.ascontiguousarray(X_valid, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.float64)
-    y_valid = np.asarray(y_valid, dtype=np.float64)
-    _check_matrix(X_train)
-    _check_matrix(X_valid)
-    if y_train.size == 0 or y_valid.size == 0:
-        raise EmptyInput("training and validation targets must be non-empty")
-    if not (np.isfinite(y_train).all() and np.isfinite(y_valid).all()):
-        raise NonFiniteTarget("targets contain NaN or infinity")
+    return train_models([(X_train, y_train, X_valid, y_valid)], config, feature_names)[0]
 
-    base = float(np.mean(y_train))
-    pred_train = np.full(y_train.size, base)
-    pred_valid = np.full(y_valid.size, base)
+
+@dataclass
+class _Boosting:
+    """One model of ``train_models``: its training and validation rows among
+    all models' rows, and its fit so far."""
+
+    rows: np.ndarray
+    vrows: np.ndarray
+    trees: list
+    history: list
+    best_rmse: float
+    best_round: int = 0
+
+
+def train_models(
+    models: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    config: TrainConfig,
+    feature_names: Sequence[str],
+) -> list[tuple[Ensemble, list[dict]]]:
+    """``train`` of each (X_train, y_train, X_valid, y_valid) of ``models``, in
+    one pass: the training rows of all models are coded once, and each round
+    grows every live model's tree as one root of the same levels. A model
+    leaves the roots when its patience runs out. Each model's result is that
+    of ``train`` on it alone, bit for bit: a code none of a node's rows holds
+    is no candidate, and each model's predictions, history and stopping test
+    are computed on its own rows.
+    """
+    parts = [[np.asarray(a, dtype=np.float64) for a in model] for model in models]
+    for X_t, y_t, X_v, y_v in parts:
+        _check_matrix(X_t)
+        _check_matrix(X_v)
+        if y_t.size == 0 or y_v.size == 0:
+            raise EmptyInput("training and validation targets must be non-empty")
+        if not (np.isfinite(y_t).all() and np.isfinite(y_v).all()):
+            raise NonFiniteTarget("targets contain NaN or infinity")
+    # every model's rows, model after model
+    X_train, y_train, X_valid, y_valid = (np.concatenate(column) for column in zip(*parts))
     bins = _bin_columns(X_train)
+    sizes = [(y_t.size, y_v.size) for _, y_t, _, y_v in parts]
+    bases = [float(np.mean(y_t)) for _, y_t, _, _ in parts]
+    pred_train = np.repeat(bases, [t for t, _ in sizes])
+    pred_valid = np.repeat(bases, [v for _, v in sizes])
 
-    trees: list[TreeNode] = []
-    history: list[dict] = []
-    best_rmse = _rmse(pred_valid, y_valid)
-    best_round = 0
-    stale = 0
+    fits = []
+    ends = np.cumsum(sizes, axis=0).tolist()
+    for (t, v), (t_end, v_end) in zip([(0, 0), *ends], ends):
+        vrows = np.arange(v, v_end)
+        fits.append(_Boosting(np.arange(t, t_end), vrows, [], [], _rmse(pred_valid[vrows], y_valid[vrows])))
+    live = fits
     for rnd in range(1, config.rounds_max + 1):
         grad = pred_train - y_train
         # with lambda = 0, a code with no row on one side of it divides 0 by 0;
         # such a code is no candidate
         with np.errstate(invalid="ignore", divide="ignore"):
-            tree, out_train, out_valid = _grow(bins, X_valid, grad, config)
-        trees.append(tree)
-        pred_train += config.learning_rate * out_train
-        pred_valid += config.learning_rate * out_valid
-        valid_rmse = _rmse(pred_valid, y_valid)
-        history.append({
-            "round": rnd,
-            "train_mae": _mae(pred_train, y_train),
-            "train_rmse": _rmse(pred_train, y_train),
-            "valid_mae": _mae(pred_valid, y_valid),
-            "valid_rmse": valid_rmse,
-        })
-        if valid_rmse < best_rmse:
-            best_rmse = valid_rmse
-            best_round = rnd
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.early_stopping_patience:
-                break
+            trees, out_train, out_valid = _grow(bins, X_valid, grad, [(f.rows, f.vrows) for f in live], config)
+        for f, tree in zip(live, trees):
+            f.trees.append(tree)
+            rows, vrows = f.rows, f.vrows
+            pred_train[rows] += config.learning_rate * out_train[rows]
+            pred_valid[vrows] += config.learning_rate * out_valid[vrows]
+            valid_rmse = _rmse(pred_valid[vrows], y_valid[vrows])
+            f.history.append({
+                "round": rnd,
+                "train_mae": _mae(pred_train[rows], y_train[rows]),
+                "train_rmse": _rmse(pred_train[rows], y_train[rows]),
+                "valid_mae": _mae(pred_valid[vrows], y_valid[vrows]),
+                "valid_rmse": valid_rmse,
+            })
+            if valid_rmse < f.best_rmse:
+                f.best_rmse = valid_rmse
+                f.best_round = rnd
+        # a model stops when its patience runs out: that many rounds since its
+        # best, and never in a round that improved it
+        live = [f for f in live if rnd - f.best_round < max(config.early_stopping_patience, 1)]
+        if not live:
+            break
 
-    ensemble = Ensemble(
-        base_score=base,
-        learning_rate=config.learning_rate,
-        trees=trees[:best_round],
-        feature_names=list(feature_names),
-    )
-    return ensemble, history
+    return [(Ensemble(base_score=base, learning_rate=config.learning_rate, trees=f.trees[:f.best_round],
+                      feature_names=list(feature_names)), f.history) for base, f in zip(bases, fits)]
 
 
 def _mae(pred: np.ndarray, y: np.ndarray) -> float:

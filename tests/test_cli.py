@@ -5,7 +5,6 @@ import json
 import os
 import random
 import shutil
-import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -413,6 +412,7 @@ def test_population_tract_without_a_district_exits_1_with_one_line(day_bundle, t
     assert main(["report", "--in", str(bundle), "--out", str(out)]) == 1
     assert _one_error_line(capsys) == "error: tract 'ZZ' has no district\n"
     assert not (out / "report.json").exists()
+    assert not (out / "model_takeoff.json").exists()  # it failed before training
 
 
 @pytest.mark.parametrize("name,column,value,message", [
@@ -550,15 +550,14 @@ def test_malformed_manifest_is_a_miss(small_bundle, tmp_path, manifest):
 
 
 # the layer function that each cached stage calls when it recomputes
-STAGE_WORK = ((acoustics, "hourly_series"), (fusion, "fuse"), (fusion, "build_features"), (gbm, "train"),
+STAGE_WORK = ((acoustics, "hourly_series"), (fusion, "fuse"), (fusion, "build_features"), (gbm, "train_models"),
               (shapley, "shapley_batch"))
 
 
-def test_changed_code_recomputes_every_cached_stage(small_bundle, primed, monkeypatch, cpus):
+def test_changed_code_recomputes_every_cached_stage(small_bundle, primed, monkeypatch):
     """The package's code is part of every stage digest, so that artifacts
     written by other code are never read back; the same code writes the
     same bytes, so only manifest.json changes."""
-    cpus(1)  # both models fit in this process, where their calls are counted
     before = {p.name: p.read_bytes() for p in primed.iterdir()}
     calls = collections.Counter()
     for module, name in STAGE_WORK:
@@ -568,7 +567,7 @@ def test_changed_code_recomputes_every_cached_stage(small_bundle, primed, monkey
         monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(cli, "_code_identity", lambda: "other code")
     assert _report(small_bundle, primed) == 0
-    assert calls == {"hourly_series": 1, "fuse": 1, "build_features": 1, "train": 2, "shapley_batch": 2}
+    assert calls == {"hourly_series": 1, "fuse": 1, "build_features": 1, "train_models": 1, "shapley_batch": 2}
     after = {p.name: p.read_bytes() for p in primed.iterdir()}
     assert after.pop("manifest.json") != before.pop("manifest.json")
     assert after == before
@@ -892,6 +891,74 @@ def test_rotation_follows_the_window(small_bundle, tmp_path):
     assert short == expected.read_text()
 
 
+def _rows_before(path, hour):
+    """The rows of a csv table before ``hour``: those of a table with an
+    hour_start column, else the columns of an exposure matrix."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    if "hour_start" in header:
+        i = header.index("hour_start")
+        return [header, *(row for row in rows if row[i] < hour)]
+    keep = [i for i, name in enumerate(header) if i == 0 or name < hour]
+    return [[row[i] for i in keep] for row in [header, *rows]]
+
+
+def test_sub_window_tables_are_slices_of_the_longer_window(small_bundle, tmp_path):
+    """A 2-day window's tables, restricted to its first day, are a 1-day
+    window's."""
+    tables = {}
+    for end in ("2023-01-02T00:00", "2023-01-03T00:00"):
+        out = tmp_path / end[:10]
+        assert main(["exposure", "--in", str(small_bundle), "--out", str(out),
+                     "--window-start", "2023-01-01T00:00", "--window-end", end]) == 0
+        tables[end] = {name: _rows_before(out / name, "2023-01-02T00:00")
+                       for name in ("fused.csv", "exposure_65.csv", "exposure_70.csv", "gini_65.csv",
+                                    "gini_70.csv", "compare.csv")}
+    day, days = tables.values()
+    assert all(len(rows) > 1 for rows in day.values())
+    assert day == days
+
+
+def test_validation_reads_only_the_window(small_bundle, tmp_path):
+    """Population rows after the window move no validation statistic; tracts
+    with no terminal keep their diurnal label."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    population = ingest.parse_population(bundle / "population.csv")
+    tract = population[0].tract_id
+    ingest.write_population([
+        replace(p, defacto_count=p.defacto_count * (10 if p.hour_start.hour < 12 else 0.1))
+        if p.tract_id == tract and p.hour_start.day == 3 else p
+        for p in population
+    ], bundle / "population.csv")
+    conf = tmp_path / "fast.conf"
+    conf.write_text("rounds_max = 10\n")
+    validation = {}
+    for data in (small_bundle, bundle):
+        out = tmp_path / f"out_{data.name}"
+        assert main(["report", "--in", str(data), "--out", str(out), "--config", str(conf),
+                     "--window-end", "2023-01-03T00:00"]) == 0
+        validation[data.name] = (out / "validation.csv").read_bytes()
+    assert validation[bundle.name] == validation[small_bundle.name]
+    labelled = {row[1] for row in csv.reader(validation[bundle.name].decode().splitlines()) if row[0] == "diurnal"}
+    assert labelled == {p.tract_id for p in population}
+
+
+def test_combo_columns_rank_only_the_windows_flights(small_bundle, tmp_path):
+    """Flights after the window move no feature, the combo columns' ranking
+    included."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    header, *rows = (bundle / "flights.csv").read_text().splitlines()
+    i = header.split(",").index("timestamp")
+    kept = [row for row in rows if row.split(",")[i] < "2023-01-02"]
+    (bundle / "flights.csv").write_text("\n".join([header, *kept]) + "\n")
+    features = {}
+    for data in (small_bundle, bundle):
+        out = tmp_path / f"out_{data.name}"
+        assert main(["fuse", "--in", str(data), "--out", str(out), "--window-end", "2023-01-02T00:00"]) == 0
+        features[data.name] = (out / "features.csv").read_bytes()
+    assert features[bundle.name] == features[small_bundle.name]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_window_shorter_than_two_blocks_gives_null_rotation(small_bundle, tmp_path, fmt):
     out = tmp_path / "out"
@@ -937,106 +1004,53 @@ def test_validate_imports_only_the_layers_it_uses(small_bundle, tmp_path):
     assert not imported & {f"airnoise.{m}" for m in ("synth", "gbm", "shapley", "exposure", "validation")}
 
 
-# --- the models stage's forked worker ---------------------------------------
+# --- the models stage --------------------------------------------------------
 
-def _timeout(signum, frame):
-    raise TimeoutError("the models stage did not finish")
-
-
-@pytest.fixture
-def no_worker_left():
-    """Bound the test's wait, then check that it left no child process."""
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(120)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of usable CPUs the models stage sees; count its forks."""
-    forks = []
-    real_fork = os.fork
-
+def test_models_fit_without_forking(small_bundle, tmp_path, monkeypatch):
+    """Both models are fitted in this process, by every command that trains."""
     def fork():
-        forks.append(os.getpid())
-        return real_fork()
+        raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", fork)
-
-    def set_cpus(n):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
-        return forks
-    return set_cpus
-
-
-def test_worker_and_inline_models_are_byte_identical(small_bundle, tmp_path, no_worker_left, cpus):
-    outputs = {}
-    for n in (2, 1):
-        forks = cpus(n)
-        forks.clear()
-        out = tmp_path / f"cpus{n}"
-        assert main(["report", "--in", str(small_bundle), "--out", str(out), "--seed", "11"]) == 0
-        assert len(forks) == (1 if n == 2 else 0)
-        outputs[n] = {name: (out / name).read_bytes()
-                      for name in ("model_takeoff.json", "model_landing.json", "report.json")}
-    assert outputs[2] == outputs[1]
+    for command in ("report", "train", "explain"):
+        out = tmp_path / command
+        assert main([command, "--in", str(small_bundle), "--out", str(out), "--seed", "11"]) == 0
+        assert (out / "model_landing.json").exists()
 
 
 @pytest.fixture
 def failing_fit(monkeypatch):
-    """Make ``gbm.train`` call ``fail()`` when it is given the rows of model ``name``."""
-    current = []
-    real_rows, real_train = cli._model_rows, gbm.train
+    """Make ``gbm.train_models`` call ``fail()`` when it is given the training
+    rows of model ``name``."""
+    given = collections.defaultdict(list)
+    real_rows, real_train = cli._model_rows, gbm.train_models
 
     def rows(table, name):
-        current.append(name)
-        return real_rows(table, name)
+        X, y, keys = real_rows(table, name)
+        given[name].append(X)
+        return X, y, keys
 
     def install(name, fail):
-        def train(*args, **kwargs):
-            if current[-1] == name:
+        def train_models(models, *args, **kwargs):
+            if any(X is mine for X, *_ in models for mine in given[name]):
                 fail()
-            return real_train(*args, **kwargs)
+            return real_train(models, *args, **kwargs)
 
         monkeypatch.setattr(cli, "_model_rows", rows)
-        monkeypatch.setattr(gbm, "train", train)
+        monkeypatch.setattr(gbm, "train_models", train_models)
     return install
 
 
-@pytest.mark.parametrize("n_cpus", [2, 1])
 @pytest.mark.parametrize("name", ["landing", "takeoff"])
-def test_fit_error_exits_1_with_one_line(small_bundle, tmp_path, capsys, no_worker_left, cpus, failing_fit,
-                                         n_cpus, name):
+def test_fit_error_exits_1_with_one_line(small_bundle, tmp_path, capsys, failing_fit, name):
     def fail():
         raise NonFiniteTarget(f"{name} targets are not finite")
 
-    cpus(n_cpus)
     failing_fit(name, fail)
     capsys.readouterr()
     assert main(["report", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--seed", "11"]) == 1
     assert capsys.readouterr().err == f"error: {name} targets are not finite\n"
     assert not (tmp_path / "out" / "model_takeoff.json").exists()
-
-
-@pytest.mark.parametrize("death,message", [
-    (lambda: os._exit(3), "landing model worker exited with status 3"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "landing model worker killed by signal 9"),
-    (lambda: os._exit(0), "landing model worker sent a short message (0 bytes)"),
-    (lambda: 1 / 0, "landing model worker raised ZeroDivisionError: division by zero"),
-], ids=["exit-3", "sigkill", "exit-0", "bug"])
-def test_worker_death_exits_1_with_one_line(small_bundle, tmp_path, capsys, no_worker_left, cpus, failing_fit,
-                                            death, message):
-    cpus(2)
-    failing_fit("landing", death)
-    capsys.readouterr()
-    assert main(["report", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--seed", "11"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- every artifact's bytes ----------------------------------------------------

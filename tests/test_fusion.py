@@ -251,8 +251,12 @@ def test_build_features_sub_window_rows_equal_full_window_rows():
     row_of = {key: i for i, key in enumerate(full.keys)}
     rows = [row_of[key] for key in sub.keys]
     assert len(rows) == 3 * 5 * 2
-    assert sub.feature_names == full.feature_names
-    assert sub.matrix.tolist() == full.matrix[rows].tolist()
+    # each window ranks the combos of its own flights, so columns match by name
+    assert sorted(sub.feature_names) == sorted(full.feature_names)
+    columns = [full.feature_names.index(name) for name in sub.feature_names]
+    assert sub.matrix.tolist() == full.matrix[np.ix_(rows, columns)].tolist()
+    in_window = [f for f in flights if hours[1] <= f.timestamp < hours[6]]
+    assert sub.feature_names[10:13] == [f"combo_{name}" for name in rank_combos(in_window)]
     assert np.array_equal(sub.laeq, full.laeq[rows], equal_nan=True)
     location = {n.nmt_id: list(n.location) for n in nmts}
     assert [row[2:4] for row in full.matrix.tolist()] == [location[k[0]] for k in full.keys]

@@ -24,6 +24,7 @@ from airnoise.gbm import (
     split_data,
     to_json,
     train,
+    train_models,
     tree_predict,
 )
 from airnoise.ingest import Operation
@@ -261,6 +262,25 @@ def test_level_wise_matches_recursive_reference(n, max_depth, lambda_, gamma, mi
         refit = evaluate(ens, X, y)
         assert refit["rmse"] == pytest.approx(history[len(ens.trees) - 1]["train_rmse"], abs=1e-9)
         assert refit["mae"] == pytest.approx(history[len(ens.trees) - 1]["valid_mae"], abs=1e-9)
+
+
+def test_models_trained_together_match_each_trained_alone():
+    """Three models of different sizes and noise, grown as roots of the same
+    levels, stop at different rounds (the last at rounds_max); each gets the
+    trees, history and model bytes that training it alone gives."""
+    rng = np.random.default_rng(5)
+    models = []
+    for n, noise in ((60, 2.0), (120, 0.5), (200, 0.05)):
+        X, X_valid = np.round(rng.normal(0, 1, (n, 5)), 1), np.round(rng.normal(0, 1, (n // 3, 5)), 1)
+        y, y_valid = (x[:, 0] + np.sin(2 * x[:, 1]) + rng.normal(0, noise, len(x)) for x in (X, X_valid))
+        models.append((X, y, X_valid, y_valid))
+    cfg = TrainConfig(rounds_max=80, max_depth=3, learning_rate=0.3, early_stopping_patience=5, seed=0)
+    together = train_models(models, cfg, list("abcde"))
+    assert sorted({len(history) for _, history in together}) == [6, 17, 80]
+    for model, (ens, history) in zip(models, together):
+        alone, alone_history = train(*model, cfg, list("abcde"))
+        assert ens.trees == alone.trees and history == alone_history
+        assert to_json(ens, cfg, history) == to_json(alone, cfg, alone_history)
 
 
 def _split_features(ens):
