@@ -1041,16 +1041,40 @@ def failing_fit(monkeypatch):
     return install
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the process sees as usable; count its forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return forks
+    return set_cpus
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1])
 @pytest.mark.parametrize("name", ["landing", "takeoff"])
-def test_fit_error_exits_1_with_one_line(small_bundle, tmp_path, capsys, failing_fit, name):
+def test_fit_error_exits_1_with_one_line(small_bundle, tmp_path, capsys, cpus, failing_fit, n_cpus, name):
+    """Whatever the number of usable CPUs, a model's fit error ends the run
+    with one line, in this process, before any model file is written."""
     def fail():
         raise NonFiniteTarget(f"{name} targets are not finite")
 
+    forks = cpus(n_cpus)
     failing_fit(name, fail)
     capsys.readouterr()
     assert main(["report", "--in", str(small_bundle), "--out", str(tmp_path / "out"), "--seed", "11"]) == 1
     assert capsys.readouterr().err == f"error: {name} targets are not finite\n"
     assert not (tmp_path / "out" / "model_takeoff.json").exists()
+    assert forks == []
 
 
 # --- every artifact's bytes ----------------------------------------------------
