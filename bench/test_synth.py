@@ -4,11 +4,14 @@
 
 The bundle is the 2-day seed-101 scenario at the real 1200 samples per
 terminal-hour, the shape of the benchmark's `dense` workload: `synth`
-generating it, then writing it, then `parse_spl` and `hourly_series`
-reading it back as the laeq stage of `airnoise report` does.
+generating it, then writing it (the whole bundle, and `write_spl` alone on a
+stream generated once), then `parse_spl` and `hourly_series` reading it back
+as the laeq stage of `airnoise report` does.
 """
 
 from __future__ import annotations
+
+import io
 
 import pytest
 
@@ -28,6 +31,20 @@ def bundle(tmp_path_factory):
 def test_generate(benchmark):
     generated, _ = benchmark(synth.generate, DENSE)
     assert len(generated.spl) == ROWS
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return synth.generate(DENSE)[0].spl
+
+
+def test_write_spl(benchmark, stream):
+    def write():
+        text = io.StringIO()
+        ingest.write_spl(stream, text)
+        return text.getvalue()
+
+    assert benchmark(write).count("\n") == ROWS + 1
 
 
 def test_write_scenario(benchmark, tmp_path):

@@ -287,6 +287,7 @@ def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray, roots: list[tuple[np.
         row_best = argmax_best.take(slot)
         row_code = codes.take(rows * n_features + bins.feature.take(row_best))
         slot = 2 * slot + (row_code > row_best)
+        parent_rows, parent_slot = rows, slot  # in the parent's order, for a re-sort
         order = (slot * n_codes + row_code).argsort(kind="stable")
         rows, slot = rows.take(order), slot.take(order)
         # count the children's rows at or below each code
@@ -311,7 +312,9 @@ def _grow(bins: _Bins, X_valid: np.ndarray, g: np.ndarray, roots: list[tuple[np.
             swap[flip] = swap[flip, ::-1]
             swap = swap.ravel()
             hl = hl.take(swap, 1)
-            slot = swap.take(slot)
+            # sorted from the parent's order, so rows of equal codes of the new
+            # feature keep the parent's order, not the argmax feature's
+            rows, slot = parent_rows, swap.take(parent_slot)
             order = (slot * n_codes + codes.take(rows * n_features + feature.take(slot >> 1))).argsort(kind="stable")
             rows, slot = rows.take(order), slot.take(order)
             cells = (bins.row_cells.take(rows, 0) * (2 * n_split) + slot[:, None]).ravel()

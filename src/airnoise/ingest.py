@@ -432,42 +432,77 @@ def parse_bundle(directory) -> Bundle:
 # serialize(parse(x)) reproduces x up to canonical number formatting: floats
 # are written with repr() (shortest round-trip form), hours with minute
 # precision, timestamps with second precision. Every stream but spl.csv is
-# written by tables.write; spl.csv goes through tables.write_atomic.
+# written by tables.write; spl.csv, the one that grows with the data, is
+# written from its columns as byte arrays by write_spl, through
+# tables.write_atomic.
+
+# "00" to "99", each as the little-endian number of its two bytes
+_TWO_DIGITS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), "<u2").astype(np.uint64)
+# the colons of "HH:MM:SS" in a little-endian 8-byte word
+_COLONS = ord(":") << 16 | ord(":") << 40
+
+
+def _cells(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as equal-width void items, each padded with 0xFF bytes, a
+    byte that UTF-8 never holds."""
+    lengths = np.array([len(text) for text in texts])
+    width = int(lengths.max())
+    rows = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width).copy()
+    rows[np.arange(width) >= lengths[:, None]] = 0xFF
+    return rows.view(f"V{width}").ravel()
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending: a sort and a neighbour mask, not
+    np.unique, whose first call in a process hashes and imports numpy.ma."""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]]
+
 
 def write_spl(columns: SplColumns, fh) -> None:
     """Write the stream from its columns to the text stream ``fh``.
 
-    Each distinct terminal id (as a csv cell) and whole-second timestamp is
-    formatted once for the stream, and each distinct level (by bit pattern, so
-    -0.0 keeps its sign) once per chunk of ``SPL_WRITE_ROWS`` rows. A chunk's
-    rows gather their strings by index and are joined by hand: ``csv.writer``
-    took 0.42-0.52 s on the same strings of a dense 2-day stream (288,000 rows)
-    against 0.18-0.21 s. Only the formatted timestamps grow with the stream.
+    A row is four fixed-width byte fields: the terminal id as a csv cell (by
+    ``tables.csv_writer``) and its comma; the date and "T"; "HH:MM:SS"; and
+    a comma, the level's ``repr`` and the line end. Each distinct id and each
+    distinct level (by bit pattern, so -0.0 keeps its sign) is formatted and
+    encoded once for the stream, padded with 0xFF bytes to its field's width.
+    Each block of ``SPL_WRITE_ROWS`` rows is one array of such rows, filled
+    a field at a time by gathers: the ids by code, the levels by their rank
+    among the distinct ones (found for the block's rows in sorted order, where
+    ``np.searchsorted`` is fast), the dates from ``np.datetime_as_string`` of
+    the block's distinct days (which matches ``isoformat`` for years 1-9999)
+    and the time from a table of the day's seconds, the microseconds dropped
+    as ``isoformat(timespec="seconds")`` drops them. The block's bytes less
+    the padding are decoded and written at once. No Python object is made
+    per row, and the work memory is a block's, beside the distinct levels.
     """
-    # the distinct whole seconds (datetime64 floors, as isoformat(timespec=
-    # "seconds") drops the microseconds); not np.unique, which on a plain
-    # array hashes, slower here, and imports numpy.ma
-    stamps = np.sort(columns.times.astype("datetime64[s]"))
-    distinct = np.ones(len(stamps), bool)
-    distinct[1:] = stamps[1:] != stamps[:-1]
-    stamps = stamps[distinct]
-    text = list(chain.from_iterable(
-        np.datetime_as_string(stamps[lo:lo + SPL_WRITE_ROWS]).tolist()
-        for lo in range(0, len(stamps), SPL_WRITE_ROWS)
-    ))
+    fh.write(",".join(SPL_HEADER) + "\n")
+    if not len(columns):
+        return
     names = []
     tables.csv_writer(names.append).writerows((name,) for name in columns.names)
-    fh.write(",".join(SPL_HEADER) + "\n")
+    ids = _cells([name.encode() + b"," for name in names])
+    bits = _distinct(columns.levels.view(np.int64))
+    ends = _cells([f",{level!r}\n".encode() for level in bits.view(np.float64).tolist()])
+    # "HH:MM:SS" of each second of a day
+    clock = (_TWO_DIGITS[:24, None, None] | _TWO_DIGITS[:60, None] << 24 | _TWO_DIGITS[:60] << 48 | _COLONS).ravel()
+    row = np.dtype({"names": ["id", "date", "time", "level"], "formats": [ids.dtype, "V11", "<u8", ends.dtype],
+                    "offsets": [0, ids.itemsize, ids.itemsize + 11, ids.itemsize + 19],
+                    "itemsize": ids.itemsize + 19 + ends.itemsize})
     for lo in range(0, len(columns), SPL_WRITE_ROWS):
         rows = slice(lo, lo + SPL_WRITE_ROWS)
-        stamp_at = np.searchsorted(stamps, columns.times[rows].astype("datetime64[s]"))
-        levels, level_at = np.unique(columns.levels[rows].view(np.int64), return_inverse=True)
-        levels = list(map(repr, levels.view(np.float64).tolist()))
-        fh.write("\n".join(map(",".join, zip(
-            map(names.__getitem__, columns.codes[rows].tolist()),
-            map(text.__getitem__, stamp_at.tolist()),
-            map(levels.__getitem__, level_at.tolist()),
-        ))) + "\n")
+        levels = columns.levels[rows].view(np.int64)
+        days, seconds = np.divmod(columns.times[rows].astype("datetime64[s]").view(np.int64), 86400)
+        day_list = _distinct(days)
+        dates = _cells([f"{day}T".encode() for day in np.datetime_as_string(day_list.astype("datetime64[D]"))])
+        out = np.empty(len(levels), row)
+        out["id"] = ids[columns.codes[rows]]
+        out["date"] = dates[np.searchsorted(day_list, days)]
+        out["time"] = clock[seconds]
+        order = levels.argsort()
+        out["level"][order] = ends[np.searchsorted(bits, levels[order])]
+        fh.write(out.tobytes().replace(b"\xff", b"").decode())
 
 
 def write_flights(flights: Iterable[FlightEvent], path) -> None:

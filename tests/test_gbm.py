@@ -264,6 +264,36 @@ def test_level_wise_matches_recursive_reference(n, max_depth, lambda_, gamma, mi
         assert refit["mae"] == pytest.approx(history[len(ens.trees) - 1]["valid_mae"], abs=1e-9)
 
 
+def _leaf_weights(node):
+    return [node.weight] if node.is_leaf else _leaf_weights(node.left) + _leaf_weights(node.right)
+
+
+def _splits(node):
+    return None if node.is_leaf else (node.feature_index, node.split_value, _splits(node.left), _splits(node.right))
+
+
+@pytest.mark.parametrize("seed", [1, 13, 74])
+def test_equivalent_split_keeps_the_parents_row_order(seed):
+    """Column 1 is column 0 plus jitter under half a step, so each of its
+    splits between the integers partitions as one of column 0's. When the
+    tie rule takes column 0 over the argmax column 1, rows with equal column-0
+    values must stay in the parent's order (as a sort-based search visits
+    them), not column 1's, for the leaf sums to match that search bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    x0 = rng.integers(0, 10, n)
+    x1 = x0 + rng.uniform(-0.4, 0.4, n)
+    x2 = rng.normal(size=n)
+    y = np.sin(x0) + rng.normal(0, 0.3, n)
+    X = np.column_stack([x0, x1, x2]).astype(float)
+    cfg = TrainConfig(rounds_max=10, max_depth=3, lambda_=1.0, min_child_weight=1.0, learning_rate=0.3,
+                      early_stopping_patience=10)
+    ens, _ = train(X, y, X, y, cfg, list("abc"))
+    ref = _reference_grow(X, np.full(n, float(np.mean(y))) - y, np.arange(n), 0, cfg)
+    assert _splits(ens.trees[0]) == _splits(ref)
+    assert _leaf_weights(ens.trees[0]) == _leaf_weights(ref)
+
+
 def test_models_trained_together_match_each_trained_alone():
     """Three models of different sizes and noise, grown as roots of the same
     levels, stop at different rounds (the last at rounds_max); each gets the

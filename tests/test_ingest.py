@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import spl_columns, spl_rows
 
-from airnoise import fusion, ingest, spl, tables
+from airnoise import fusion, ingest, spl, synth, tables
 from airnoise.errors import AirnoiseError, DuplicateKey, MalformedRow, RangeViolation
 from airnoise.ingest import (
     Bundle,
@@ -490,11 +491,14 @@ def _spl_csv(samples) -> str:
 # --- write_spl: the columnar writer against the row writer ------------------------
 
 def _write_spl_rows(samples) -> str:
-    """The reference writer: one formatted row per (terminal, timestamp, level) row."""
+    """The reference writer: one formatted row per (terminal, timestamp, level)
+    row, the terminal id made a csv cell by the table writer's dialect."""
     buf = io.StringIO()
     buf.write(SPL_HEADER)
     for nmt, ts, level in samples:
-        buf.write(f"{nmt},{ts.isoformat(timespec='seconds')},{float(level)!r}\n")
+        cell = []
+        tables.csv_writer(cell.append).writerow([nmt])
+        buf.write(f"{cell[0]},{ts.isoformat(timespec='seconds')},{float(level)!r}\n")
     return buf.getvalue()
 
 
@@ -507,18 +511,46 @@ _stamps = st.one_of(
 _levels = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(min_value=0, max_value=140).map(lambda x: round(x, 2)),
-    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1 / 3, 72.4]),
+    # the longest reprs, and the shortest
+    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1 / 3, 72.4, 5e-324, -1.7976931348623157e+308, 2.2250738585072014e-308]),
+)
+# ids the csv dialect quotes (a comma, a quote, a line end), non-ASCII ones
+# (UTF-8 of 2 to 4 bytes) and one of a single byte beside a long one
+_ids = st.one_of(
+    st.sampled_from(["NMT1", "NMT10", "NMT2", "B", "N,1", 'R"2', "C\r3", "L\n4", "", " ", "Ölçer", "測点",
+                     "\U0001f50a", "\x00"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
 )
 
 
-@given(st.lists(st.tuples(st.sampled_from(["NMT1", "NMT10", "NMT2", "B"]), _stamps, _levels), max_size=40),
-       st.integers(min_value=1, max_value=7))
+@given(st.lists(st.tuples(_ids, _stamps, _levels), max_size=40), st.integers(min_value=1, max_value=7))
 def test_write_spl_equals_row_writer(rows, chunk_rows):
     expected = _write_spl_rows(rows)
     assert _spl_csv(spl_columns(rows)) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "SPL_WRITE_ROWS", chunk_rows)
         assert _spl_csv(spl_columns(rows)) == expected
+
+
+def test_write_spl_memory_stays_below_its_columns():
+    """Writing a day at 1200 samples per terminal-hour allocates less at its
+    peak than the stream's columns hold: the work memory is a block's, not
+    a formatted copy of the stream. The text goes to a sink that keeps none
+    of it."""
+    samples = synth.generate(synth.ScenarioConfig(seed=3, days=1, samples_per_hour=1200))[0].spl
+    columns = samples.codes.nbytes + samples.times.nbytes + samples.levels.nbytes
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        write_spl(samples, Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < columns
 
 
 def test_write_spl_path_and_empty(tmp_path):
