@@ -29,8 +29,7 @@ from . import tables
 from .errors import EmptyInput
 from .ingest import SAMPLES_PER_HOUR_NOMINAL
 from .spl import SplColumns
-
-DEFAULT_RETENTION_DBA = 60.0
+from .tables import DEFAULT_RETENTION_DBA
 
 
 @dataclass(frozen=True, slots=True)

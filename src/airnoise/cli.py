@@ -13,7 +13,12 @@ but laeq. The stages laeq, fused, features, models and shap are cached: a
 stage whose parameters, input files, code and outputs still match its entry in
 the content-hash manifest (`manifest.json` under --out) reads its outputs back,
 and any other stage recomputes them, with identical results either way (see
-`Workspace`). Findings (validate), exposure and validation always recompute.
+`Workspace`). Findings (validate) always recompute, and so do exposure and
+validation unless the whole report is up to date: report is one more cached
+stage, keyed on the six input files, every setting but --in and --out, and the
+code. When its entry still matches every table in --out, report makes no
+`Run`, reads back only report.json for its summary line, and writes nothing,
+not even the manifest.
 
 Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
@@ -38,8 +43,9 @@ missing subcommand among them.
 one process: `gbm.train_models` grows every model's tree of a round in the
 same levels, and each model comes out as `gbm.train` would fit it alone.
 
-Layer modules that only some commands use are imported inside those commands,
-so that `validate` loads no more than it runs.
+This module imports only the standard library, `tables` and `errors`. Each
+stage imports the layer modules it runs, and numpy with them, so a command
+loads only the layers it runs, and an up-to-date report loads none.
 """
 
 from __future__ import annotations
@@ -48,19 +54,17 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
-import numpy as np
-
-from . import acoustics, fusion, ingest, tables
+from . import tables
 from .errors import AirnoiseError, InvalidConfig, MalformedConfig, UsageError
-from .ingest import Operation
 
 MET_FEATURES = ("temperature_c", "wind_speed_kt", "wind_deviation_deg", "cloud_cover_tenths")
-MAPPINGS = (fusion.MAPPING_CONTAINING, fusion.MAPPING_NEAREST_CENTROID)
+MAPPINGS = (tables.MAPPING_CONTAINING, tables.MAPPING_NEAREST_CENTROID)
 FORMATS = ("csv", "json")
 # the RunConfig fields that train_config passes to gbm.TrainConfig by name
 TRAIN_FIELDS = ("rounds_max", "max_depth", "lambda_", "gamma", "min_child_weight", "early_stopping_patience")
@@ -73,8 +77,8 @@ class RunConfig:
     window_start: datetime | None = None   # inferred from weather coverage when absent
     window_end: datetime | None = None
     thresholds: tuple[float, ...] = (65.0, 70.0)
-    retention_dba: float = acoustics.DEFAULT_RETENTION_DBA
-    mapping: str = fusion.MAPPING_CONTAINING
+    retention_dba: float = tables.DEFAULT_RETENTION_DBA
+    mapping: str = tables.MAPPING_CONTAINING
     seed: int = 0
     out_format: str = "csv"
     days: int = 31
@@ -187,9 +191,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             overrides[attr] = _convert(conv, value, _flag(key))
     cfg = replace(cfg, **overrides)
-    if np.isnan([cfg.retention_dba, *cfg.thresholds]).any():
+    if any(math.isnan(v) for v in (cfg.retention_dba, *cfg.thresholds)):
         raise UsageError("retention_dba and theta must not be NaN")
     return replace(cfg, thresholds=tuple(sorted(set(cfg.thresholds))))
+
+
+def _check_window(start: datetime, end: datetime) -> None:
+    if start >= end:
+        raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
+
+
+def _settings(args: argparse.Namespace, pin_window: bool = True) -> RunConfig:
+    """``resolve_config(args)``, with a study window given in full checked
+    before any input is read, unless the command needs no window."""
+    cfg = resolve_config(args)
+    if pin_window and cfg.window_start is not None and cfg.window_end is not None:
+        _check_window(cfg.window_start, cfg.window_end)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +238,28 @@ class Workspace:
     holds the digest of the stage's parameters, input files and code, and the
     sha256 of each output. A command hashes each file once (``hashes``): an
     input when a digest first names it, an output when a hit checks it or a
-    miss writes it."""
+    miss writes it. A file is hashed again only once a miss has replaced it."""
 
     def __init__(self, out_dir: Path):
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         try:
             manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
         except (FileNotFoundError, ValueError):  # ValueError: not UTF-8, or not JSON
             manifest = {}
         self.manifest = manifest if isinstance(manifest, dict) else {}  # anything else counts as empty
-        self.hashes: dict[Path, str] = {}
+        self.hashes: dict[Path, tuple[tuple[int, int, int], str]] = {}
 
     def _sha256(self, path: Path) -> str:
-        if path not in self.hashes:
-            self.hashes[path] = _file_sha256(path)
-        return self.hashes[path]
+        """The sha256 of ``path``'s bytes, kept with the file's inode, mtime and
+        size: ``tables.write_atomic`` replaces a file it rewrites, which gives
+        it a new inode, so only a rewritten file is hashed again."""
+        st = path.stat()
+        key = (st.st_ino, st.st_mtime_ns, st.st_size)
+        kept = self.hashes.get(path)
+        if kept is None or kept[0] != key:
+            kept = self.hashes[path] = (key, _file_sha256(path))
+        return kept[1]
 
     def digest(self, *parts) -> str:
         """The sha256 of the repr of ``parts`` and the code identity, each file
@@ -245,26 +268,30 @@ class Workspace:
         named = [self._sha256(p) if isinstance(p, Path) else p for p in parts]
         return hashlib.sha256(repr([*named, _code_identity()]).encode("utf-8")).hexdigest()
 
-    def stage(self, name: str, parts, outputs: list[Path], load, compute):
-        """The result of a cached stage. If the stage last ran on the digest of
-        ``parts`` and each output still holds the bytes it wrote then, that is
-        ``load()``. Otherwise ``compute()`` writes the outputs and returns the
-        result, and the run is recorded."""
+    def stage(self, name: str, parts, outputs, load, compute):
+        """The result of a cached stage. ``outputs()`` lists the stage's output
+        files as they are when it is called. If the stage last ran on the
+        digest of ``parts``, and its outputs are the files it recorded then,
+        each still holding the bytes it wrote, that is ``load()``. Otherwise
+        ``compute()`` writes the outputs and returns the result, and the run is
+        recorded."""
         digest = self.digest(*parts)
         entry = self.manifest.get(name)
         recorded = entry.get("outputs") if isinstance(entry, dict) and entry.get("digest") == digest else None
-        if isinstance(recorded, dict) and all(p.exists() and recorded.get(p.name) == self._sha256(p) for p in outputs):
-            try:
-                return load()
-            except (AirnoiseError, ValueError):
-                pass  # a torn artifact is a miss
+        if isinstance(recorded, dict):
+            paths = outputs()
+            if recorded.keys() == {p.name for p in paths} and all(
+                    p.exists() and recorded[p.name] == self._sha256(p) for p in paths):
+                try:
+                    return load()
+                except (AirnoiseError, ValueError):
+                    pass  # a torn artifact is a miss
         # the entry goes before the outputs are rewritten, so that an
         # interrupted rewrite is never taken for fresh
         if self.manifest.pop(name, None) is not None:
             tables.write_json(self.manifest_path, self.manifest)
         result = compute()
-        self.hashes.update((p, _file_sha256(p)) for p in outputs)  # the old hash of a rewritten file goes
-        self.manifest[name] = {"digest": digest, "outputs": {p.name: self.hashes[p] for p in outputs}}
+        self.manifest[name] = {"digest": digest, "outputs": {p.name: self._sha256(p) for p in outputs()}}
         tables.write_json(self.manifest_path, self.manifest)
         return result
 
@@ -273,12 +300,14 @@ class Workspace:
 # shared pipeline pieces
 
 MODEL_TARGETS = {
-    "takeoff": Operation.DEPARTURE,
-    "landing": Operation.ARRIVAL,
+    "takeoff": tables.Operation.DEPARTURE,
+    "landing": tables.Operation.ARRIVAL,
 }
 
 
 def _model_rows(table: fusion.FeatureTable, name: str):
+    import numpy as np
+
     op = MODEL_TARGETS[name]
     keep = np.array([k[2] is op for k in table.keys]) & ~np.isnan(table.laeq)
     keys = [k for k, kp in zip(table.keys, keep) if kp]
@@ -305,7 +334,11 @@ def _table_path(out: Path, stem: str, fmt: str) -> Path:
 
 def _parsed(stem: str) -> functools.cached_property:
     """A run's input ``<stem>.csv``, parsed once by ``ingest.parse_<stem>``."""
-    return functools.cached_property(lambda run: getattr(ingest, f"parse_{stem}")(run.cfg.in_dir / f"{stem}.csv"))
+    def parse(run):
+        from . import ingest
+
+        return getattr(ingest, f"parse_{stem}")(run.cfg.in_dir / f"{stem}.csv")
+    return functools.cached_property(parse)
 
 
 class Run:
@@ -314,21 +347,21 @@ class Run:
     takes its digest, which covers the files they wrote. A window bound not
     given is inferred from weather coverage; an empty window is a usage error.
     ``laeq`` needs no window: it passes ``pin_window=False`` and never reads
-    weather.csv."""
+    weather.csv. A run of report takes the report stage's ``cfg``, resolved
+    and checked by ``_settings``, and its ``ws``."""
 
-    def __init__(self, args, pin_window: bool = True):
-        self.cfg = cfg = resolve_config(args)
-        if pin_window:  # before any stage digest, so that an inferred window is part of every cache key
-            start, end = cfg.window_start, cfg.window_end
-            if start is None or end is None:
-                if not self.weather:
-                    raise InvalidConfig("cannot infer the study window from an empty weather stream")
-                start = start or min(w.hour_start for w in self.weather)
-                end = end or max(w.hour_start for w in self.weather) + timedelta(hours=1)
-            if start >= end:
-                raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
+    def __init__(self, args, pin_window: bool = True, cfg: RunConfig | None = None, ws: Workspace | None = None):
+        self.cfg = cfg = cfg if cfg is not None else _settings(args, pin_window)
+        # before any stage digest, so that an inferred window is part of every cache key
+        if pin_window and (cfg.window_start is None or cfg.window_end is None):
+            if not self.weather:
+                raise InvalidConfig("cannot infer the study window from an empty weather stream")
+            start = cfg.window_start or min(w.hour_start for w in self.weather)
+            end = cfg.window_end or max(w.hour_start for w in self.weather) + timedelta(hours=1)
+            _check_window(start, end)
             self.cfg = replace(cfg, window_start=start, window_end=end)
-        self.ws = Workspace(self.cfg.out_dir)
+        self.ws = ws or Workspace(self.cfg.out_dir)
+        self.ws.out.mkdir(parents=True, exist_ok=True)
         if args.command != "report":  # a report.json left here would describe other outputs
             (self.ws.out / "report.json").unlink(missing_ok=True)
 
@@ -341,6 +374,8 @@ class Run:
 
     @functools.cached_property
     def hours(self) -> list[datetime]:
+        from . import ingest
+
         return ingest.window_hours((self.cfg.window_start, self.cfg.window_end))
 
     @functools.cached_property
@@ -352,6 +387,8 @@ class Run:
 
     @functools.cached_property
     def series(self) -> list[acoustics.HourlyLaeq]:
+        from . import acoustics
+
         cfg, out = self.cfg, self.ws.out / "hourly_laeq.csv"
 
         def compute():
@@ -360,11 +397,13 @@ class Run:
             acoustics.write_hourly_laeq(series, out)
             return series
 
-        return self.ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), [out],
+        return self.ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), lambda: [out],
                              lambda: acoustics.read_hourly_laeq(out), compute)
 
     @functools.cached_property
     def records(self) -> list[fusion.TractHourRecord]:
+        from . import fusion
+
         cfg, series, out = self.cfg, self.series, self.ws.out / "fused.csv"
 
         def compute():
@@ -376,10 +415,12 @@ class Run:
 
         parts = (self.ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv", cfg.in_dir / "tracts.csv",
                  cfg.in_dir / "nmts.csv", cfg.mapping, cfg.window_start, cfg.window_end)
-        return self.ws.stage("fused", parts, [out], lambda: fusion.read_fused(out), compute)
+        return self.ws.stage("fused", parts, lambda: [out], lambda: fusion.read_fused(out), compute)
 
     @functools.cached_property
     def table(self) -> fusion.FeatureTable:
+        from . import fusion
+
         cfg, series, out = self.cfg, self.series, self.ws.out / "features.csv"
 
         def compute():
@@ -389,7 +430,7 @@ class Run:
 
         parts = (self.ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv", cfg.in_dir / "weather.csv",
                  cfg.in_dir / "nmts.csv", cfg.window_start, cfg.window_end)
-        return self.ws.stage("features", parts, [out], lambda: fusion.read_features(out), compute)
+        return self.ws.stage("features", parts, lambda: [out], lambda: fusion.read_features(out), compute)
 
     @functools.cached_property
     def models(self) -> dict[str, tuple]:
@@ -413,7 +454,7 @@ class Run:
             return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
 
         parts = (self.ws.out / "features.csv", vars(cfg.train_config()))
-        return self.ws.stage("models", parts, list(outputs.values()), load, compute)
+        return self.ws.stage("models", parts, lambda: list(outputs.values()), load, compute)
 
     @functools.cached_property
     def exposure(self):
@@ -466,7 +507,7 @@ class Run:
             return summaries
 
         parts = (self.ws.out / "features.csv", *(self.ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)
-        return self.ws.stage("shap", parts, [p for group in outputs.values() for p in group],
+        return self.ws.stage("shap", parts, lambda: [p for group in outputs.values() for p in group],
                              lambda: {name: shapley.read_shap_summary(group[1]) for name, group in outputs.items()},
                              compute)
 
@@ -474,6 +515,8 @@ class Run:
     def findings(self) -> ingest.ValidationReport:
         """Coverage, duplicate and reference checks across the six inputs in
         the window, also written to findings.json. Never cached."""
+        from . import ingest
+
         bundle = ingest.Bundle(self.spl, self.flights, self.weather, self.population, self.tracts, self.nmts)
         report = ingest.validate_bundle(bundle, (self.cfg.window_start, self.cfg.window_end))
         tables.write_json(self.ws.out / "findings.json",
@@ -488,6 +531,8 @@ class Run:
         Works from the raw population stream, in the window, so that tracts
         with no terminal are covered too.
         """
+        import numpy as np
+
         from . import validation
 
         district_of = {t.tract_id: t.district_id for t in self.tracts}
@@ -580,10 +625,36 @@ def cmd_explain(args) -> int:
     return 0
 
 
+# the six inputs, in the order that a report first reads them: with the window
+# inferred, a missing --in is a missing weather.csv
+REPORT_INPUTS = ("weather", "tracts", "population", "spl", "nmts", "flights")
+
+
+def _report_artifacts(out: Path) -> list[Path]:
+    """The report's artifacts: every csv and json file in ``out`` but the
+    manifest and validate's findings.json. A table that a report would remove
+    is one of them, so it makes the report's entry stale."""
+    return sorted(p for p in out.glob("*") if p.suffix in (".csv", ".json") and p.is_file()
+                  and p.name not in ("manifest.json", "findings.json"))
+
+
 def cmd_report(args) -> int:
+    cfg = _settings(args)
+    ws = Workspace(cfg.out_dir)
+    # every setting with the window as given: weather.csv stands in for an inferred one
+    settings = {k: v for k, v in vars(cfg).items() if k not in ("in_dir", "out_dir")}
+    parts = (*(cfg.in_dir / f"{stem}.csv" for stem in REPORT_INPUTS), settings)
+    path = ws.out / "report.json"
+    report = ws.stage("report", parts, lambda: _report_artifacts(ws.out),
+                      lambda: json.loads(path.read_text(encoding="utf-8")), lambda: _report(Run(args, cfg=cfg, ws=ws)))
+    print(f"report: wrote {path} ({len(report['exposure'])} thresholds, {len(report['rotation'])} terminal pairs)")
+    return 0
+
+
+def _report(run: Run) -> dict:
+    """Every stage of ``run``, summed up in report.json."""
     from . import exposure
 
-    run = Run(args)
     cfg = run.cfg
     # the stages run in this order: validation (population and tracts only, so that an
     # unmapped tract fails before any training), laeq, fused, features, models, exposure, shap
@@ -627,9 +698,7 @@ def cmd_report(args) -> int:
         "validation": validation,
     }
     tables.write_json(run.ws.out / "report.json", report)
-    print(f"report: wrote {run.ws.out / 'report.json'} "
-          f"({len(matrices)} thresholds, {len(correlations)} terminal pairs)")
-    return 0
+    return report
 
 
 # ---------------------------------------------------------------------------

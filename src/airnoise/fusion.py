@@ -33,13 +33,11 @@ import numpy as np
 from . import tables
 from .acoustics import HourlyLaeq
 from .errors import AmbiguousMapping, MissingPopulation, MissingWeather, UnknownTract
-from .ingest import FlightEvent, NmtMeta, Operation, PopulationRecord, TractMeta, WeatherHour
+from .ingest import FlightEvent, NmtMeta, PopulationRecord, TractMeta, WeatherHour
+from .tables import MAPPING_CONTAINING, MAPPING_NEAREST_CENTROID, Operation
 
 N_FEATURES = 22
 N_COMBO_FEATURES = 12
-
-MAPPING_CONTAINING = "containing"
-MAPPING_NEAREST_CENTROID = "nearest"
 
 # the operation order of a terminal-hour's two feature rows
 OPERATIONS = (Operation.ARRIVAL, Operation.DEPARTURE)

@@ -60,6 +60,7 @@ import numpy as np
 from . import tables
 from .errors import DuplicateKey, MalformedRow, RangeViolation
 from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, parse_block
+from .tables import Operation
 
 # Nominal 3-second samples in one hour; completeness is reported against this,
 # never imputed.
@@ -67,11 +68,6 @@ SAMPLES_PER_HOUR_NOMINAL = 1200
 
 # rows of spl.csv formatted and written at a time
 SPL_WRITE_ROWS = 1 << 13
-
-
-class Operation(enum.Enum):
-    DEPARTURE = "DEPARTURE"
-    ARRIVAL = "ARRIVAL"
 
 
 class LandUse(enum.Enum):

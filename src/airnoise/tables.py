@@ -14,11 +14,17 @@ of its path names:
 Every file goes to a temporary file beside its path, which then replaces the
 path, so a reader never sees a partly written artifact. A write that fails
 removes its temporary file and leaves the old artifact as it was.
+
+The module also declares the few values that the command line and the layers
+share: the operations of flights.csv, the tract-to-terminal mappings and the
+default retention cut. They live here, with no numpy import, so that the
+command line can declare its settings without loading a layer.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import os
@@ -29,6 +35,16 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import MalformedRow
+
+DEFAULT_RETENTION_DBA = 60.0
+
+MAPPING_CONTAINING = "containing"
+MAPPING_NEAREST_CENTROID = "nearest"
+
+
+class Operation(enum.Enum):
+    DEPARTURE = "DEPARTURE"
+    ARRIVAL = "ARRIVAL"
 
 
 def hour(ts: datetime) -> str:

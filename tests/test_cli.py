@@ -9,11 +9,12 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import airnoise
-from airnoise import acoustics, cli, fusion, gbm, ingest, shapley
+from airnoise import acoustics, cli, fusion, gbm, ingest, shapley, tables
 from airnoise.cli import build_parser, load_config_file, main, resolve_config
 from airnoise.errors import InvalidConfig, NonFiniteTarget
 
@@ -255,6 +256,7 @@ def test_train_and_explain_subcommands(small_bundle, small_report, tmp_path):
 def test_report_reuses_fresh_intermediates(small_bundle, small_report):
     report_bytes = (small_report / "report.json").read_bytes()
     model_mtime = (small_report / "model_takeoff.json").stat().st_mtime_ns
+    _drop_report_entry(small_report)
     assert main(["report", "--in", str(small_bundle), "--out", str(small_report), "--seed", "11"]) == 0
     assert (small_report / "report.json").read_bytes() == report_bytes
     # models were loaded from the manifest-backed cache, not retrained
@@ -589,6 +591,36 @@ def test_report_hashes_each_file_once(small_bundle, tmp_path, monkeypatch):
         assert calls and max(calls.values()) == 1, (run, calls.most_common(3))
 
 
+def _tear(path):
+    path.write_bytes(path.read_bytes()[:-9])
+
+
+# each changes a fresh --out so that the next report misses on its own entry
+REPORT_MISSES = {
+    "inner-stages-fresh": lambda out: _drop_report_entry(out),
+    "torn-table": lambda out: _tear(out / "gini_70.csv"),
+    "torn-shap-summary": lambda out: _tear(out / "shap_summary_takeoff.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_MISSES))
+def test_report_miss_hashes_each_file_once(small_bundle, primed, monkeypatch, case):
+    """A report that misses on its own entry hashes each file once, whether the
+    check of that entry hashed it or not. A file that the miss rewrites is a
+    new file (``tables.write_atomic`` gives it a new inode), hashed once too."""
+    calls = collections.Counter()
+    real = cli._file_sha256
+
+    def counted(path):
+        calls[path, path.stat().st_ino] += 1
+        return real(path)
+
+    monkeypatch.setattr(cli, "_file_sha256", counted)
+    REPORT_MISSES[case](primed)
+    assert _report(small_bundle, primed) == 0
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+
 # layer functions that a run calls once at most, each through its module
 ONCE = {ingest: ("parse_spl", "parse_flights", "parse_weather", "parse_population", "parse_tracts",
                  "parse_nmts", "window_hours"), gbm: ("split_data",)}
@@ -619,9 +651,8 @@ def test_report_parses_each_input_once(small_bundle, tmp_path, layer_calls):
     assert _report(small_bundle, out) == 0
     assert layer_calls == {name: 1 for names in ONCE.values() for name in names}
     layer_calls.clear()
-    assert _report(small_bundle, out) == 0  # warm: the laeq and features stages are read back
-    assert layer_calls["parse_spl"] == layer_calls["parse_flights"] == 0
-    assert max(layer_calls.values()) == 1
+    assert _report(small_bundle, out) == 0  # warm: the whole report is up to date
+    assert layer_calls == {}
 
 
 def test_ids_that_need_quoting_survive_every_artifact(quoted_bundle, tmp_path, monkeypatch):
@@ -635,6 +666,7 @@ def test_ids_that_need_quoting_survive_every_artifact(quoted_bundle, tmp_path, m
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+    _drop_report_entry(out)
     assert main(argv) == 0  # warm: every cached artifact reads back
     assert calls == {}
     assert (out / "report.json").read_bytes() == cold
@@ -688,6 +720,15 @@ def _report(bundle, out, *flags):
     return main(["report", "--in", str(bundle), "--out", str(out), "--seed", "11", *flags])
 
 
+def _drop_report_entry(out):
+    """Take the report's own entry out of ``out``'s manifest, so that the next
+    report misses on that entry alone while every inner stage is fresh."""
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["report"]
+    path.write_text(json.dumps(manifest))
+
+
 def _files(out, pattern):
     """name -> (inode, mtime) of the files matching ``pattern``; a rewrite changes both."""
     return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob(pattern)}
@@ -701,6 +742,7 @@ def test_warm_report_reuses_shapley(small_bundle, small_report, primed, monkeypa
     assert len(before) == SHAP_FILES
     _forbid(monkeypatch, shapley, "shapley_batch")
     _forbid(monkeypatch, gbm, "from_json")  # a models hit decodes no tree while Shapley hits too
+    _drop_report_entry(primed)
     assert _report(small_bundle, primed, "--format", fmt) == 0
     assert _files(primed, f"shap_*.{fmt}") == before
     # the rankings read back from either format give the same report bytes
@@ -991,17 +1033,28 @@ def test_terminal_with_one_block_gives_null_rotation_in_report(small_bundle, tmp
     assert {pair for pair, r in cells.items() if r == ""} == {(f"NMT{k}", "NMT5") for k in range(1, 5)}
 
 
-def test_validate_imports_only_the_layers_it_uses(small_bundle, tmp_path):
+def _imported(*argv) -> set[str]:
+    """The modules that a fresh ``python -m airnoise.cli *argv`` imports."""
     env = dict(os.environ, PYTHONPATH=str(Path(airnoise.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "airnoise.cli", "validate",
-         "--in", str(small_bundle), "--out", str(tmp_path / "v")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "airnoise.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+
+
+def test_validate_imports_only_the_layers_it_uses(small_bundle, tmp_path):
+    imported = _imported("validate", "--in", str(small_bundle), "--out", str(tmp_path / "v"))
     assert "airnoise.ingest" in imported
-    assert not imported & {f"airnoise.{m}" for m in ("synth", "gbm", "shapley", "exposure", "validation")}
+    assert not imported & {f"airnoise.{m}" for m in ("synth", "acoustics", "fusion", "gbm", "shapley", "exposure",
+                                                     "validation")}
+
+
+def test_up_to_date_report_loads_no_layer(small_bundle, primed):
+    before = _files(primed, "*")
+    imported = _imported("report", "--in", str(small_bundle), "--out", str(primed), "--seed", "11")
+    assert _files(primed, "*") == before
+    assert {m for m in imported if m.split(".")[0] in ("airnoise", "numpy")} == {
+        "airnoise", "airnoise.errors", "airnoise.tables"}
 
 
 # --- the models stage --------------------------------------------------------
@@ -1093,7 +1146,7 @@ GOLDEN = {
         "gini_65.csv": "5ab2ec6d4b6f7cf51d75bdd17ebc74e8089105bc9e22cc3d7939390dda805a47",
         "gini_70.csv": "c9758f8d3a8573f202c36b91b1ba14d09f554e778f58584c9d272ea8818576a6",
         "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
-        "manifest.json": "f1c65fcd40d6bd965ffce4c0d2655b019988df79f646a5d8225f49a77a470b06",
+        "manifest.json": "29df5e551f4f3a5ce231fab9af13b6679d7bed26b3ed174a89353a13a9cf84f0",
         "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
         "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
         "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
@@ -1130,7 +1183,7 @@ GOLDEN = {
         "gini_65.json": "1b40ca88146986fa9812b118afc5e58e149b12964b58f456f13b2afde44029dd",
         "gini_70.json": "00b210ef9c500f9f9ad2fda3d5f68b9cc4c76234dec54b63143fd61bd61f9bbf",
         "hourly_laeq.csv": "56d6dcbe961dfcbf2c788da95a98a26495da55223fa6ff2adf42b50c088059d3",
-        "manifest.json": "be5b7504a7cd698c14a4f4fdbbbe49d204df20a7e28d723e5141f73f35ea1027",
+        "manifest.json": "d976bfe24eebcabaee8d54aab4610aef545eee077cac898c613e78b2d23f2a2d",
         "model_landing.json": "4f5682d6e07b8a60668b156bbf2e34ab9e2433cacf418d94bd0137f7fd3d3a54",
         "model_takeoff.json": "3c8d51a98743f2ddf7f74949da0e97ed6645c34e994d20f90ab49e3f2124cf1b",
         "report.json": "e1fe5ee4b479c3ffbc58f1eddceb041bc9d9d99757a2a646c70c673ed3686214",
@@ -1184,6 +1237,159 @@ def test_format_switch_removes_the_other_formats_tables(small_bundle, primed):
     assert tables_in("json") == stems and not tables_in("csv")
     assert _report(small_bundle, primed, "--seed", "12", "--format", "csv") == 0
     assert tables_in("csv") == stems and not tables_in("json")
+
+
+# --- the report's own entry ---------------------------------------------------
+
+class Crash(BaseException):
+    """A kill of the process right after a write: nothing in the program catches it."""
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The names of the files that ``tables.write_atomic`` writes, in order;
+    with ``crash_at`` set to n, the n-th write raises Crash once it is done."""
+    log = SimpleNamespace(names=[], crash_at=None)
+    real = tables.write_atomic
+
+    def write_atomic(path, write):
+        real(path, write)
+        log.names.append(Path(path).name)
+        if len(log.names) == log.crash_at:
+            raise Crash
+
+    monkeypatch.setattr(tables, "write_atomic", write_atomic)
+    return log
+
+
+def _artifacts(out) -> dict[str, bytes]:
+    """name -> bytes of every file in ``out`` but manifest.json."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def quick(day_bundle, tmp_path_factory):
+    """A report of the 1-day bundle (or another), with 10 boosting rounds:
+    ``quick.report(out, *flags)`` runs one, and ``quick.out`` holds one that
+    ran into an empty --out."""
+    base = tmp_path_factory.mktemp("quick")
+    conf = base / "run.cfg"
+    conf.write_text("rounds_max = 10\n")
+
+    def report(out, *flags, bundle=None):
+        return main(["report", "--in", str(bundle or day_bundle), "--out", str(out), "--seed", "3",
+                     "--config", str(conf), *flags])
+
+    assert report(base / "out") == 0
+    return SimpleNamespace(report=report, out=base / "out")
+
+
+def _hit(quick, out, writes, *flags, bundle=None):
+    """Whether a report into ``out`` is a hit, which writes and removes nothing."""
+    before = _files(out, "*")
+    writes.names.clear()
+    assert quick.report(out, *flags, bundle=bundle) == 0
+    assert bool(writes.names) == (_files(out, "*") != before)
+    return not writes.names
+
+
+@pytest.mark.parametrize("primed_with", [None, ("--format", "json", "--theta", "60")], ids=["empty", "json-60"])
+def test_crash_after_any_write_never_leaves_a_hit(quick, tmp_path, writes, primed_with):
+    """Killed right after any one of its writes, a report leaves an --out whose
+    next report recomputes what is missing and then hits; only a kill after the
+    last write, which records the report's entry, leaves a whole run."""
+    start = tmp_path / "start"
+    if primed_with:
+        assert quick.report(start, *primed_with) == 0
+    else:
+        start.mkdir()
+    shutil.copytree(start, tmp_path / "count")
+    writes.names.clear()
+    assert quick.report(tmp_path / "count") == 0
+    total = len(writes.names)
+    assert writes.names[-1] == "manifest.json"
+    expected = _artifacts(quick.out)
+    for k in range(1, total + 1):
+        out = tmp_path / f"crash{k}"
+        shutil.copytree(start, out)
+        writes.names.clear()
+        writes.crash_at = k
+        with pytest.raises(Crash):
+            quick.report(out)
+        writes.crash_at = None
+        assert _hit(quick, out, writes) == (k == total), k
+        assert _artifacts(out) == expected, k
+        assert _hit(quick, out, writes), k
+        shutil.rmtree(out)
+
+
+def _change_weather(bundle, out, monkeypatch):
+    path = bundle / "weather.csv"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    hour, temperature, *others = first.split(",")
+    path.write_text("".join([header, ",".join([hour, str(float(temperature) + 3), *others]), *rest]))
+
+
+def _edit(name, edit):
+    """A change that rewrites ``name`` in --out as ``edit`` of its bytes."""
+    def change(bundle, out, monkeypatch):
+        (out / name).write_bytes(edit((out / name).read_bytes()))
+    return change
+
+
+def _copy(name, to):
+    """A change that copies ``name`` in --out to ``to``."""
+    def change(bundle, out, monkeypatch):
+        (out / to).write_bytes((out / name).read_bytes())
+    return change
+
+
+# each case changes the bundle, --out or code of a report that hit, or gives it flags
+MISSES = {
+    "input": (_change_weather, ()),
+    "setting": (lambda *_: None, ("--theta", "60")),
+    "code": (lambda bundle, out, monkeypatch: monkeypatch.setattr(cli, "_code_identity", lambda: "other code"), ()),
+    "changed-report": (_edit("report.json", lambda data: data + b" "), ()),
+    "torn-table": (_edit("gini_70.csv", lambda data: data[:-9]), ()),
+    "deleted-table": (lambda bundle, out, monkeypatch: (out / "validation.csv").unlink(), ()),
+    "stray-threshold": (_copy("exposure_65.csv", "exposure_60.csv"), ()),
+    "stray-gini-json": (_copy("gini_65.csv", "gini_60.json"), ()),
+    "other-format": (_copy("compare.csv", "compare.json"), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSES))
+def test_stale_report_entry_is_a_miss_that_a_fresh_run_equals(quick, day_bundle, tmp_path, writes, monkeypatch,
+                                                              case):
+    change, flags = MISSES[case]
+    bundle = _copy_bundle(day_bundle, tmp_path / "bundle")
+    out = tmp_path / "out"
+    shutil.copytree(quick.out, out)
+    assert _hit(quick, out, writes, bundle=bundle)  # the bundle's path is not in the key
+    change(bundle, out, monkeypatch)
+    assert not _hit(quick, out, writes, *flags, bundle=bundle)
+    assert quick.report(tmp_path / "fresh", *flags, bundle=bundle) == 0
+    assert _artifacts(out) == _artifacts(tmp_path / "fresh")
+    assert _hit(quick, out, writes, *flags, bundle=bundle)
+
+
+def test_shuffled_rows_change_no_artifact(small_bundle, small_report, primed, tmp_path, writes):
+    """The data rows of all six inputs, shuffled: every artifact but
+    manifest.json keeps its bytes, and a report into the unshuffled inputs'
+    --out is a miss that leaves them too."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    rng = random.Random(24)
+    for path in sorted(bundle.iterdir()):
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rng.shuffle(rows)
+        path.write_text("".join([header, *rows]))
+    expected = _artifacts(small_report)
+    assert _report(bundle, tmp_path / "fresh") == 0
+    assert _artifacts(tmp_path / "fresh") == expected
+    writes.names.clear()
+    assert _report(bundle, primed) == 0
+    assert writes.names
+    assert _artifacts(primed) == expected
 
 
 # --- the benchmark's traced mode ----------------------------------------------
