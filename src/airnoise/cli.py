@@ -41,7 +41,11 @@ missing subcommand among them.
 
 `train`, `explain` and `report` fit the models of MODEL_TARGETS together, in
 one process: `gbm.train_models` grows every model's tree of a round in the
-same levels, and each model comes out as `gbm.train` would fit it alone.
+same levels, and each model comes out as `gbm.train` would fit it alone. A
+model with no training or no held-out rows, or every model when the feature
+table has fewer rows than `gbm.split_data` splits (a short window), is not
+fitted: it has no model file and no attribution tables, and its report entry
+has no round, no tree and null metrics.
 
 This module imports only the standard library, `tables` and `errors`. Each
 stage imports the layer modules it runs, and numpy with them, so a command
@@ -53,6 +57,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -314,6 +319,27 @@ def _model_rows(table: fusion.FeatureTable, name: str):
     return table.matrix[keep], table.laeq[keep], keys
 
 
+def _fit_rows(split) -> dict[str, tuple]:
+    """(X_train, y_train, X_test, y_test) of each model with rows in both parts
+    of ``split``, a (train, test) pair of feature tables or None."""
+    if split is None:
+        return {}
+    parts = {name: (*_model_rows(split[0], name)[:2], *_model_rows(split[1], name)[:2]) for name in MODEL_TARGETS}
+    return {name: rows for name, rows in parts.items() if len(rows[1]) and len(rows[3])}
+
+
+# the models entry of a model that is not fitted: no history, no tree, no ensemble
+UNFITTED = ([], 0, None)
+
+
+def _model_facts(history: list[dict], kept: int) -> dict:
+    """A model's rounds run, trees kept, and metrics at its last kept tree,
+    null when it keeps none."""
+    at = history[kept - 1] if kept else {}
+    return {"rounds_run": len(history), "trees_kept": kept, "train_mae": at.get("train_mae"),
+            "train_rmse": at.get("train_rmse"), "test_mae": at.get("valid_mae"), "test_rmse": at.get("valid_rmse")}
+
+
 def _saved_model(text: str):
     """A saved model's history, its number of trees, and a call that decodes
     the trees the first time it is made."""
@@ -379,10 +405,13 @@ class Run:
         return ingest.window_hours((self.cfg.window_start, self.cfg.window_end))
 
     @functools.cached_property
-    def split(self) -> tuple[fusion.FeatureTable, fusion.FeatureTable]:
-        """The feature table's train and test parts."""
+    def split(self) -> tuple[fusion.FeatureTable, fusion.FeatureTable] | None:
+        """The feature table's train and test parts; None when it has fewer
+        rows than ``gbm.split_data`` splits."""
         from . import gbm
 
+        if len(self.table.keys) < gbm.SPLIT_ROWS_MIN:
+            return None
         return gbm.split_data(self.table, gbm.TrainConfig().split_fraction, self.cfg.seed)
 
     @functools.cached_property
@@ -435,26 +464,34 @@ class Run:
     @functools.cached_property
     def models(self) -> dict[str, tuple]:
         """Per model: its history, the number of trees it kept, and a call that
-        returns the ensemble, which decodes a cached model's trees only then."""
+        returns the ensemble, which decodes a cached model's trees only then;
+        ``UNFITTED`` for a model that is not fitted, which has no model file."""
         from . import gbm
 
         cfg, table = self.cfg, self.table
-        outputs = {name: self.ws.out / f"model_{name}.json" for name in MODEL_TARGETS}
+        paths = {name: self.ws.out / f"model_{name}.json" for name in MODEL_TARGETS}
 
         def compute():
-            train_part, test_part = self.split
             config = cfg.train_config()
-            rows = [(*_model_rows(train_part, name)[:2], *_model_rows(test_part, name)[:2]) for name in MODEL_TARGETS]
-            fitted = dict(zip(MODEL_TARGETS, gbm.train_models(rows, config, table.feature_names)))
-            for name, (ens, history) in fitted.items():
-                tables.write_text(outputs[name], gbm.to_json(ens, config, history))
-            return {name: (history, len(ens.trees), lambda ens=ens: ens) for name, (ens, history) in fitted.items()}
+            rows = _fit_rows(self.split)
+            fitted = dict(zip(rows, gbm.train_models(list(rows.values()), config, table.feature_names) if rows else []))
+            models = {}
+            for name, path in paths.items():
+                if name not in fitted:
+                    path.unlink(missing_ok=True)
+                    models[name] = UNFITTED
+                    continue
+                ens, history = fitted[name]
+                tables.write_text(path, gbm.to_json(ens, config, history))
+                models[name] = (history, len(ens.trees), lambda ens=ens: ens)
+            return models
 
         def load():
-            return {name: _saved_model(path.read_text(encoding="utf-8")) for name, path in outputs.items()}
+            return {name: _saved_model(path.read_text(encoding="utf-8")) if path.exists() else UNFITTED
+                    for name, path in paths.items()}
 
         parts = (self.ws.out / "features.csv", vars(cfg.train_config()))
-        return self.ws.stage("models", parts, lambda: list(outputs.values()), load, compute)
+        return self.ws.stage("models", parts, lambda: [p for p in paths.values() if p.exists()], load, compute)
 
     @functools.cached_property
     def exposure(self):
@@ -467,7 +504,9 @@ class Run:
         ginis = {t: exposure.gini_series(m) for t, m in matrices.items()}
         comparisons = {t: exposure.compare_bases(matrices[t], residential[t]) for t in matrices}
         start, end = cfg.window_start, cfg.window_end
-        correlations = exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])
+        # every pair of the terminals in nmts.csv: a pair with a silent terminal has no correlation
+        correlations = {**dict.fromkeys(itertools.combinations(sorted(n.nmt_id for n in self.nmts), 2)),
+                        **exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])}
 
         tags = {exposure.theta_tag(theta) for theta in matrices}
         for path in [p for kind in ("exposure", "gini") for suffix in FORMATS for p in out.glob(f"{kind}_*.{suffix}")]:
@@ -487,16 +526,20 @@ class Run:
         """Attribution exports per model over its held-out rows; the rankings."""
         from . import shapley
 
-        cfg, table, models, fmt = self.cfg, self.table, self.models, self.cfg.out_format
+        cfg, table, models, fmt, out = self.cfg, self.table, self.models, self.cfg.out_format, self.ws.out
         stems = {name: [f"shap_values_{name}", f"shap_summary_{name}",
                         *(f"shap_dependence_{name}_{feature}" for feature in MET_FEATURES)] for name in models}
-        outputs = {name: [_table_path(self.ws.out, stem, fmt) for stem in group] for name, group in stems.items()}
+        outputs = {name: [_table_path(out, stem, fmt) for stem in stems[name]]
+                   for name, (_, _, ensemble) in models.items() if ensemble is not None}
 
         def compute():
-            _, test_part = self.split
-            summaries = {}
-            for name, (_, _, ensemble) in models.items():
-                X, _, keys = _model_rows(test_part, name)
+            summaries = {name: [] for name in models}  # a model not fitted has no attribution
+            for name in models.keys() - outputs.keys():
+                for path in (out / f"{stem}.{suffix}" for stem in stems[name] for suffix in FORMATS):
+                    path.unlink(missing_ok=True)
+            for name in outputs:
+                _, _, ensemble = models[name]
+                X, _, keys = _model_rows(self.split[1], name)
                 atts = shapley.shapley_batch(ensemble(), X, [f"{k[0]}|{tables.hour(k[1])}" for k in keys])
                 summaries[name] = ranking = shapley.summary(atts)
                 values, summary, *dependence = outputs[name]
@@ -506,9 +549,10 @@ class Run:
                     shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path)
             return summaries
 
-        parts = (self.ws.out / "features.csv", *(self.ws.out / f"model_{name}.json" for name in models), cfg.seed, fmt)
+        parts = (out / "features.csv", *(out / f"model_{name}.json" for name in outputs), cfg.seed, fmt)
         return self.ws.stage("shap", parts, lambda: [p for group in outputs.values() for p in group],
-                             lambda: {name: shapley.read_shap_summary(group[1]) for name, group in outputs.items()},
+                             lambda: {name: shapley.read_shap_summary(outputs[name][1]) if name in outputs else []
+                                      for name in models},
                              compute)
 
     @functools.cached_property
@@ -613,14 +657,14 @@ def cmd_exposure(args) -> int:
 def cmd_train(args) -> int:
     parts = []
     for name, (history, kept, _) in Run(args).models.items():
-        at = history[kept - 1] if kept else {"valid_mae": float("nan")}
-        parts.append(f"{name}: {kept} trees, test mae {at['valid_mae']:.3f}")
+        mae = _model_facts(history, kept)["test_mae"]
+        parts.append(f"{name}: {kept} trees, test mae {'null' if mae is None else f'{mae:.3f}'}")
     print("train: " + "; ".join(parts))
     return 0
 
 
 def cmd_explain(args) -> int:
-    tops = {name: ranking[0][0] for name, ranking in Run(args).shap.items()}
+    tops = {name: ranking[0][0] if ranking else None for name, ranking in Run(args).shap.items()}
     print(f"explain: top features {tops}")
     return 0
 
@@ -683,17 +727,7 @@ def _report(run: Run) -> dict:
         "comparison": {exposure.theta_tag(t): [{**r, "hour": tables.hour(r["hour"])} for r in rows]
                        for t, rows in comparisons.items()},
         "rotation": [{"nmt_a": a, "nmt_b": b, "correlation": r} for (a, b), r in sorted(correlations.items())],
-        "model": {
-            name: {
-                "rounds_run": len(history),
-                "trees_kept": kept,
-                "train_mae": history[kept - 1]["train_mae"] if kept else None,
-                "train_rmse": history[kept - 1]["train_rmse"] if kept else None,
-                "test_mae": history[kept - 1]["valid_mae"] if kept else None,
-                "test_rmse": history[kept - 1]["valid_rmse"] if kept else None,
-            }
-            for name, (history, kept, _) in models.items()
-        },
+        "model": {name: _model_facts(history, kept) for name, (history, kept, _) in models.items()},
         "shap": {name: {"summary": [[f, v] for f, v in ranking]} for name, ranking in summaries.items()},
         "validation": validation,
     }

@@ -78,6 +78,7 @@ from .fusion import FeatureTable
 from .rng import substream
 
 ROUNDS_MIN = 10
+SPLIT_ROWS_MIN = 10  # the fewest rows split_data splits
 ROUNDS_MAX = 1000
 
 
@@ -137,8 +138,8 @@ def split_data(table: FeatureTable, fraction: float = 0.9, seed: int = 0) -> tup
     non-empty, so fractions of 0 or 1 are rejected.
     """
     n = len(table.keys)
-    if n < 10:
-        raise TooFewRows(f"need at least 10 rows to split, got {n}")
+    if n < SPLIT_ROWS_MIN:
+        raise TooFewRows(f"need at least {SPLIT_ROWS_MIN} rows to split, got {n}")
     n_train = int(round(fraction * n))
     if not 1 <= n_train <= n - 1:
         raise InvalidConfig(f"fraction {fraction} leaves an empty part for {n} rows")

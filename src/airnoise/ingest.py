@@ -59,7 +59,7 @@ import numpy as np
 
 from . import tables
 from .errors import DuplicateKey, MalformedRow, RangeViolation
-from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplBuilder, SplColumns, parse_block
+from .spl import LEVEL_MAX_DBA, LEVEL_MIN_DBA, SplColumns, join_chunks, parse_block
 from .tables import Operation
 
 # Nominal 3-second samples in one hour; completeness is reported against this,
@@ -276,14 +276,12 @@ def parse_spl(source) -> SplColumns:
 
 def _parse_spl_rows(source) -> SplColumns:
     """The row parser: one ``csv.reader`` row at a time."""
-    columns = SplBuilder()
-    columns.add(*_spl_fields(_rows(source, SPL_HEADER)))
-    return columns.build()
+    return join_chunks([_spl_fields(_rows(source, SPL_HEADER))])
 
 
 def _spl_fields(rows) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """The terminal ids, codes into them, microseconds since 1970 and levels
-    of spl.csv rows: the arguments of ``SplBuilder.add``."""
+    of spl.csv rows: a chunk of ``spl.join_chunks``."""
     code_of: dict[str, int] = {}
     codes, stamps, levels = [], [], []
     for lineno, (nmt_id, ts, level) in rows:
@@ -317,7 +315,7 @@ def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
     first = fh.readline().replace(b"\r\n", b"\n")
     if b'"' in first or b"\r" in first:
         return _parse_spl_rows(chain([first], fh))
-    columns = SplBuilder()
+    chunks = []
     if first:
         _check_header(next(_csv_rows([first], 1))[1], SPL_HEADER)
     lineno = 2
@@ -327,7 +325,7 @@ def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
             block = block.replace(b"\r\n", b"\n")  # a line end, as for the row parser
         if b'"' in block or b"\r" in block:
             # a quoted field may span blocks: the row parser takes the rest
-            columns.add(*_spl_fields(_records(_csv_rows(chain([block], blocks), lineno), 3)))
+            chunks.append(_spl_fields(_records(_csv_rows(chain([block], blocks), lineno), 3)))
             break
         chunk = parse_block(block)
         if chunk is None:
@@ -335,8 +333,8 @@ def _parse_spl_stream(fh, block_bytes: int) -> SplColumns:
             lineno += block.count(b"\n")
         else:
             lineno += len(chunk[3])  # a row a line
-        columns.add(*chunk)
-    return columns.build()
+        chunks.append(chunk)
+    return join_chunks(chunks)
 
 
 def parse_flights(source) -> list[FlightEvent]:

@@ -11,7 +11,7 @@ sort by (terminal, time), for the validator and the LAeq stage.
 ``parse_block`` is the fast path of ``ingest.parse_spl``: it turns one block
 of the file's bytes into columns with array operations, reading each level
 exactly by Clinger's fast path, or returns None when any row needs the row
-parser (see ``ingest`` for the fallback rule). ``SplBuilder`` joins the
+parser (see ``ingest`` for the fallback rule). ``join_chunks`` joins the
 blocks of both paths into one ``SplColumns``.
 """
 
@@ -226,30 +226,16 @@ def parse_block(block: bytes):
     return names, codes, seconds * 1_000_000, levels
 
 
-class SplBuilder:
-    """Collects SPL columns chunk by chunk; terminal codes are renumbered to
-    the sorted terminal ids at the end."""
-
-    def __init__(self):
-        self.code_of: dict[str, int] = {}
-        self.codes: list[np.ndarray] = []
-        self.micros: list[np.ndarray] = []
-        self.levels: list[np.ndarray] = []
-
-    def add(self, names: list[str], codes: np.ndarray, micros: np.ndarray, levels: np.ndarray) -> None:
-        """Append a chunk whose row i is at terminal ``names[codes[i]]``."""
-        own = [self.code_of.setdefault(name, len(self.code_of)) for name in names]
-        self.codes.append(np.array(own, np.int32)[codes])
-        self.micros.append(micros)
-        self.levels.append(levels)
-
-    def build(self) -> SplColumns:
-        names = sorted(self.code_of)
-        rank = {name: i for i, name in enumerate(names)}
-        renumber = np.array([rank[name] for name in self.code_of], dtype=np.int32)
-        return SplColumns(
-            names,
-            renumber[np.concatenate(self.codes)] if self.codes else np.zeros(0, np.int32),
-            np.concatenate(self.micros or [np.zeros(0, np.int64)]).view("datetime64[us]"),
-            np.concatenate(self.levels or [np.zeros(0)]),
-        )
+def join_chunks(chunks) -> SplColumns:
+    """The SPL columns of ``chunks`` in order, each ``(ids, codes, micros,
+    levels)`` with its row i at terminal ``ids[codes[i]]``, coded by the
+    sorted terminal ids."""
+    names = sorted({name for ids, *_ in chunks for name in ids})
+    rank = {name: i for i, name in enumerate(names)}
+    codes = [np.array([rank[name] for name in ids], np.int32)[own] for ids, own, *_ in chunks]
+    return SplColumns(
+        names,
+        np.concatenate(codes or [np.zeros(0, np.int32)]),
+        np.concatenate([micros for *_, micros, _ in chunks] or [np.zeros(0, np.int64)]).view("datetime64[us]"),
+        np.concatenate([levels for *_, levels in chunks] or [np.zeros(0)]),
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from airnoise.cli import main
-from airnoise.spl import SplBuilder, SplColumns
+from airnoise.spl import SplColumns
 
 
 @pytest.fixture(params=["mid-row", "no-final-line-end", "wrong-header"])
@@ -24,11 +24,9 @@ def spl_columns(rows) -> SplColumns:
     """SPL columns of (terminal id, datetime, level) rows, in their order."""
     names = sorted({r[0] for r in rows})
     code = {name: i for i, name in enumerate(names)}
-    columns = SplBuilder()
-    columns.add(names, np.array([code[r[0]] for r in rows], np.intp),
-                np.array([r[1] for r in rows], dtype="datetime64[us]").view(np.int64),
-                [r[2] for r in rows])
-    return columns.build()
+    return SplColumns(names, np.array([code[r[0]] for r in rows], np.int32),
+                      np.array([r[1] for r in rows], dtype="datetime64[us]"),
+                      np.array([r[2] for r in rows], np.float64))
 
 
 def spl_rows(columns: SplColumns) -> list[tuple]:

@@ -1,6 +1,7 @@
 import collections
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -126,8 +127,7 @@ def test_validate_broken_bundle_exits_1(small_bundle, tmp_path):
 
 def test_silent_terminal_gives_one_spl_gap_per_window_hour(small_bundle, tmp_path):
     bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
-    lines = (bundle / "spl.csv").read_bytes().splitlines(keepends=True)
-    (bundle / "spl.csv").write_bytes(b"".join(line for line in lines if not line.startswith(b"NMT5,")))
+    _drop_terminal(bundle, "NMT5")
     out = tmp_path / "out"
     assert main(["validate", "--in", str(bundle), "--out", str(out)]) == 1
     findings = json.loads((out / "findings.json").read_text())["findings"]
@@ -931,6 +931,90 @@ def test_rotation_follows_the_window(small_bundle, tmp_path):
     expected = tmp_path / "expected.csv"
     exposure.write_rotation(exposure.rotation_contrast(series), expected)
     assert short == expected.read_text()
+
+
+def _drop_terminal(bundle, nmt: str, names=("spl.csv",)) -> None:
+    """Drop every row of terminal ``nmt`` from the tables ``names`` of ``bundle``."""
+    for name in names:
+        lines = (bundle / name).read_bytes().splitlines(keepends=True)
+        (bundle / name).write_bytes(b"".join(line for line in lines if not line.startswith(f"{nmt},".encode())))
+
+
+def test_silent_terminal_keeps_its_rotation_pairs(small_bundle, tmp_path):
+    """A terminal with no sample keeps its pairs with every other terminal of
+    nmts.csv, each with a null correlation, in rotation.csv and report.json."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    _drop_terminal(bundle, "NMT5")
+    conf = tmp_path / "fast.conf"
+    conf.write_text("rounds_max = 10\n")
+    out = tmp_path / "out"
+    assert _report(bundle, out, "--config", str(conf)) == 0
+    pairs = list(itertools.combinations([f"NMT{i}" for i in range(1, 6)], 2))
+    rotation = json.loads((out / "report.json").read_text())["rotation"]
+    assert [(r["nmt_a"], r["nmt_b"]) for r in rotation] == pairs
+    assert [(r["correlation"] is None) for r in rotation] == [("NMT5" in pair) for pair in pairs]
+    with open(out / "rotation.csv", newline="", encoding="utf-8") as fh:
+        _, *rows = csv.reader(fh)
+    assert [(a, b, r == "") for a, b, r in rows] == [(*pair, "NMT5" in pair) for pair in pairs]
+
+
+# one hour: the held-out part of the seed-11 table holds no take-off row
+SHORT_WINDOW = ("--window-start", "2023-01-01T00:00", "--window-end", "2023-01-01T01:00")
+UNFITTED_FACTS = {"rounds_run": 0, "trees_kept": 0, "train_mae": None, "train_rmse": None,
+                  "test_mae": None, "test_rmse": None}
+
+
+@pytest.mark.parametrize("terminals,unfitted", [(5, {"takeoff"}), (4, {"takeoff", "landing"})],
+                         ids=["no-held-out-row", "too-few-rows-to-split"])
+def test_short_window_reports_and_fits_no_model_without_rows(small_bundle, primed, tmp_path, layer_calls, capsys,
+                                                             terminals, unfitted):
+    """A model with no training or no held-out row is not fitted, and neither
+    is any model when the feature table has fewer rows than ``split_data``
+    splits (4 terminals give 8 in one hour). The report still writes every
+    table: the model's entry has no round, no tree and null metrics, and the
+    model has no model file and no attribution table, not even a stale one."""
+    bundle = small_bundle
+    if terminals == 4:
+        bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+        _drop_terminal(bundle, "NMT5", ("spl.csv", "nmts.csv"))
+    out = primed  # a full window's report, each model's tables stale for this one
+    assert _report(bundle, out, *SHORT_WINDOW) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["exposure"]) == ["65", "70"] and len(report["rotation"]) == terminals * (terminals - 1) // 2
+    for name in cli.MODEL_TARGETS:
+        files = sorted(p.name for p in out.iterdir() if name in p.name)
+        if name in unfitted:
+            assert (report["model"][name], report["shap"][name]["summary"], files) == (UNFITTED_FACTS, [], [])
+        else:
+            assert report["model"][name]["rounds_run"] > 0 and report["shap"][name]["summary"] and len(files) == 7
+    for name in ("exposure_65.csv", "exposure_70.csv", "gini_65.csv", "gini_70.csv", "compare.csv", "rotation.csv",
+                 "validation.csv"):
+        assert (out / name).exists()
+    # one hour of a district pair has no R^2
+    assert all(p["r2_absolute"] is p["r2_pct_change"] is None for p in report["validation"]["district_r2"])
+    layer_calls.clear()
+    assert _report(bundle, out, *SHORT_WINDOW) == 0  # the whole report is up to date
+    assert layer_calls == {}
+    capsys.readouterr()
+    for command in ("train", "explain"):
+        assert main([command, "--in", str(bundle), "--out", str(tmp_path / command), "--seed", "11",
+                     *SHORT_WINDOW]) == 0
+    train, explain = capsys.readouterr().out.splitlines()
+    assert all(f"{name}: 0 trees, test mae null" in train for name in unfitted)
+    assert all(f"'{name}': None" in explain for name in unfitted)
+
+
+def test_train_prints_null_for_a_model_that_keeps_no_tree(small_bundle, tmp_path, capsys):
+    """train prints each model's test MAE as report.json holds it: null for a
+    model that keeps no tree, as both do over 4 hours."""
+    window = ("--window-start", "2023-01-01T00:00", "--window-end", "2023-01-01T04:00")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--in", str(small_bundle), "--out", str(out), "--seed", "11", *window]) == 0
+    assert capsys.readouterr().out == "train: takeoff: 0 trees, test mae null; landing: 0 trees, test mae null\n"
+    assert _report(small_bundle, out, *window) == 0
+    models = json.loads((out / "report.json").read_text())["model"]
+    assert [(m["rounds_run"] > 0, m["test_mae"]) for m in models.values()] == [(True, None), (True, None)]
 
 
 def _rows_before(path, hour):

@@ -418,6 +418,17 @@ def test_evaluate_empty():
         evaluate(ens, np.zeros((0, 1)), np.zeros(0))
 
 
+@pytest.mark.parametrize("empty", ["train", "valid"])
+def test_train_models_refuses_a_model_with_no_rows(empty):
+    """A model with no training or no validation row cannot be fitted, so the
+    CLI leaves it unfitted; ``train_models`` refuses it."""
+    X, y = np.zeros((12, 1)), np.arange(12.0)
+    fit = (X[:0], y[:0]) if empty == "train" else (X, y)
+    held_out = (X[:0], y[:0]) if empty == "valid" else (X, y)
+    with pytest.raises(EmptyInput):
+        train_models([(X, y, X, y), (*fit, *held_out)], TrainConfig(rounds_max=10), ["x"])
+
+
 # --- serialization -----------------------------------------------------------------
 
 def test_round_trip_preserves_predictions():
