@@ -16,17 +16,18 @@ and any other stage recomputes them, with identical results either way (see
 `Workspace`). Findings (validate) always recompute, and so do exposure and
 validation unless the whole report is up to date: report is one more cached
 stage, keyed on the six input files, every setting but --in and --out, and the
-code. When its entry still matches every table in --out, report makes no
+code. When its entry still matches every file it owns, report makes no
 `Run`, reads back only report.json for its summary line, and writes nothing,
 not even the manifest.
 
 Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
 report.json included, is written to a temporary file that then replaces it.
-A table written in one --format removes the same table in the other
-(`_table_path`), the exposure stage removes the tables of thresholds no
-longer asked for, and every `Run` subcommand but report removes report.json,
-so --out never holds a stale copy.
+OWNED names the files each stage owns in --out; a stage's entry records just
+those, and report's every stage's. Once it has written, a stage removes those
+it owns but did not write, and every `Run` subcommand but report removes
+report.json (`Workspace.prune`), so --out holds no stale copy. Any other file
+there is left alone and recorded by no entry.
 
 Configuration comes from a plain key=value file (--config) overridden by
 flags. Each setting is declared once, in CONFIG_KEYS, which also builds its
@@ -238,12 +239,26 @@ def _code_identity() -> str:
     return hashlib.sha256(repr([(p.name, p.read_bytes()) for p in modules]).encode("utf-8")).hexdigest()
 
 
+# the files each stage owns in --out, by pattern; manifest.json and findings.json are no stage's
+OWNED = {
+    "laeq": ("hourly_laeq.csv",),
+    "fused": ("fused.csv",),
+    "features": ("features.csv",),
+    "models": ("model_*.json",),
+    "shap": tuple(f"shap_*.{fmt}" for fmt in FORMATS),
+    "exposure": tuple(f"{stem}.{fmt}" for stem in ("exposure_*", "gini_*", "compare", "rotation") for fmt in FORMATS),
+    "validation": ("validation.csv",),
+    "report": ("report.json",),
+}
+
+
 class Workspace:
     """Stage cache rooted at the output directory, a verifying trace: each entry
     holds the digest of the stage's parameters, input files and code, and the
-    sha256 of each output. A command hashes each file once (``hashes``): an
-    input when a digest first names it, an output when a hit checks it or a
-    miss writes it. A file is hashed again only once a miss has replaced it."""
+    sha256 of each file the stage owns (OWNED). A command hashes each file once
+    (``hashes``): an input when a digest first names it, an output when a hit
+    checks it or a miss writes it. A file is hashed again only once a miss has
+    replaced it."""
 
     def __init__(self, out_dir: Path):
         self.out = Path(out_dir)
@@ -273,20 +288,29 @@ class Workspace:
         named = [self._sha256(p) if isinstance(p, Path) else p for p in parts]
         return hashlib.sha256(repr([*named, _code_identity()]).encode("utf-8")).hexdigest()
 
-    def stage(self, name: str, parts, outputs, load, compute):
-        """The result of a cached stage. ``outputs()`` lists the stage's output
-        files as they are when it is called. If the stage last ran on the
-        digest of ``parts``, and its outputs are the files it recorded then,
-        each still holding the bytes it wrote, that is ``load()``. Otherwise
-        ``compute()`` writes the outputs and returns the result, and the run is
-        recorded."""
+    def owned(self, *stages: str) -> list[Path]:
+        """The files in --out that ``stages`` own, sorted."""
+        return sorted({p for stage in stages for pattern in OWNED[stage] for p in self.out.glob(pattern)})
+
+    def prune(self, stage: str, written=()) -> None:
+        """Remove the files ``stage`` owns but did not just write. Only after it
+        writes: a file removed first could lend its rewrite its inode (``_sha256``)."""
+        for path in set(self.owned(stage)) - set(written):
+            path.unlink()
+
+    def stage(self, name: str, parts, load, compute):
+        """The result of a cached stage. If the stage last ran on the digest of
+        ``parts``, and the files it owns (every stage's for report) are the ones
+        it recorded then, each still holding the bytes it wrote, that is
+        ``load()``. Otherwise ``compute()`` writes them and returns the result,
+        and the run is recorded."""
+        stages = OWNED if name == "report" else (name,)
         digest = self.digest(*parts)
         entry = self.manifest.get(name)
         recorded = entry.get("outputs") if isinstance(entry, dict) and entry.get("digest") == digest else None
         if isinstance(recorded, dict):
-            paths = outputs()
-            if recorded.keys() == {p.name for p in paths} and all(
-                    p.exists() and recorded[p.name] == self._sha256(p) for p in paths):
+            paths = self.owned(*stages)
+            if recorded.keys() == {p.name for p in paths} and all(recorded[p.name] == self._sha256(p) for p in paths):
                 try:
                     return load()
                 except (AirnoiseError, ValueError):
@@ -296,7 +320,7 @@ class Workspace:
         if self.manifest.pop(name, None) is not None:
             tables.write_json(self.manifest_path, self.manifest)
         result = compute()
-        self.manifest[name] = {"digest": digest, "outputs": {p.name: self._sha256(p) for p in outputs()}}
+        self.manifest[name] = {"digest": digest, "outputs": {p.name: self._sha256(p) for p in self.owned(*stages)}}
         tables.write_json(self.manifest_path, self.manifest)
         return result
 
@@ -349,15 +373,6 @@ def _saved_model(text: str):
     return doc.get("history", []), len(doc["trees"]), functools.cache(lambda: gbm.from_json(text)[0])
 
 
-def _table_path(out: Path, stem: str, fmt: str) -> Path:
-    """Where table ``stem`` goes in ``fmt``. The same table in the other
-    format, left by an earlier run, is removed, since it is now stale."""
-    for other in FORMATS:
-        if other != fmt:
-            (out / f"{stem}.{other}").unlink(missing_ok=True)
-    return out / f"{stem}.{fmt}"
-
-
 def _parsed(stem: str) -> functools.cached_property:
     """A run's input ``<stem>.csv``, parsed once by ``ingest.parse_<stem>``."""
     def parse(run):
@@ -389,7 +404,7 @@ class Run:
         self.ws = ws or Workspace(self.cfg.out_dir)
         self.ws.out.mkdir(parents=True, exist_ok=True)
         if args.command != "report":  # a report.json left here would describe other outputs
-            (self.ws.out / "report.json").unlink(missing_ok=True)
+            self.ws.prune("report")
 
     spl = _parsed("spl")
     flights = _parsed("flights")
@@ -426,7 +441,7 @@ class Run:
             acoustics.write_hourly_laeq(series, out)
             return series
 
-        return self.ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba), lambda: [out],
+        return self.ws.stage("laeq", (cfg.in_dir / "spl.csv", cfg.retention_dba),
                              lambda: acoustics.read_hourly_laeq(out), compute)
 
     @functools.cached_property
@@ -444,7 +459,7 @@ class Run:
 
         parts = (self.ws.out / "hourly_laeq.csv", cfg.in_dir / "population.csv", cfg.in_dir / "tracts.csv",
                  cfg.in_dir / "nmts.csv", cfg.mapping, cfg.window_start, cfg.window_end)
-        return self.ws.stage("fused", parts, lambda: [out], lambda: fusion.read_fused(out), compute)
+        return self.ws.stage("fused", parts, lambda: fusion.read_fused(out), compute)
 
     @functools.cached_property
     def table(self) -> fusion.FeatureTable:
@@ -459,7 +474,7 @@ class Run:
 
         parts = (self.ws.out / "hourly_laeq.csv", cfg.in_dir / "flights.csv", cfg.in_dir / "weather.csv",
                  cfg.in_dir / "nmts.csv", cfg.window_start, cfg.window_end)
-        return self.ws.stage("features", parts, lambda: [out], lambda: fusion.read_features(out), compute)
+        return self.ws.stage("features", parts, lambda: fusion.read_features(out), compute)
 
     @functools.cached_property
     def models(self) -> dict[str, tuple]:
@@ -475,15 +490,11 @@ class Run:
             config = cfg.train_config()
             rows = _fit_rows(self.split)
             fitted = dict(zip(rows, gbm.train_models(list(rows.values()), config, table.feature_names) if rows else []))
-            models = {}
-            for name, path in paths.items():
-                if name not in fitted:
-                    path.unlink(missing_ok=True)
-                    models[name] = UNFITTED
-                    continue
-                ens, history = fitted[name]
-                tables.write_text(path, gbm.to_json(ens, config, history))
+            models = dict.fromkeys(paths, UNFITTED)
+            for name, (ens, history) in fitted.items():
+                tables.write_text(paths[name], gbm.to_json(ens, config, history))
                 models[name] = (history, len(ens.trees), lambda ens=ens: ens)
+            self.ws.prune("models", [paths[name] for name in fitted])
             return models
 
         def load():
@@ -491,7 +502,7 @@ class Run:
                     for name, path in paths.items()}
 
         parts = (self.ws.out / "features.csv", vars(cfg.train_config()))
-        return self.ws.stage("models", parts, lambda: [p for p in paths.values() if p.exists()], load, compute)
+        return self.ws.stage("models", parts, load, compute)
 
     @functools.cached_property
     def exposure(self):
@@ -503,22 +514,20 @@ class Run:
         residential = exposure.exposure_matrices(records, cfg.thresholds, exposure.BASIS_RESIDENTIAL)
         ginis = {t: exposure.gini_series(m) for t, m in matrices.items()}
         comparisons = {t: exposure.compare_bases(matrices[t], residential[t]) for t in matrices}
-        start, end = cfg.window_start, cfg.window_end
-        # every pair of the terminals in nmts.csv: a pair with a silent terminal has no correlation
-        correlations = {**dict.fromkeys(itertools.combinations(sorted(n.nmt_id for n in self.nmts), 2)),
-                        **exposure.rotation_contrast([h for h in series if start <= h.hour_start < end])}
+        # every pair of the terminals in nmts.csv, and only those: a pair with a silent terminal has no correlation
+        terminals = {n.nmt_id for n in self.nmts}
+        window = [h for h in series if cfg.window_start <= h.hour_start < cfg.window_end and h.nmt_id in terminals]
+        correlations = {**dict.fromkeys(itertools.combinations(sorted(terminals), 2)),
+                        **exposure.rotation_contrast(window)}
 
-        tags = {exposure.theta_tag(theta) for theta in matrices}
-        for path in [p for kind in ("exposure", "gini") for suffix in FORMATS for p in out.glob(f"{kind}_*.{suffix}")]:
-            if path.stem.partition("_")[2] not in tags:
-                path.unlink()  # the table of a threshold no longer asked for is stale
         fmt = cfg.out_format
-        for theta in matrices:
-            tag = exposure.theta_tag(theta)
-            exposure.write_exposure_matrix(matrices[theta], _table_path(out, f"exposure_{tag}", fmt))
-            exposure.write_gini_series(ginis[theta], _table_path(out, f"gini_{tag}", fmt))
-        exposure.write_comparison(comparisons, _table_path(out, "compare", fmt))
-        exposure.write_rotation(correlations, _table_path(out, "rotation", fmt))
+        paths = {t: [out / f"{kind}_{exposure.theta_tag(t)}.{fmt}" for kind in ("exposure", "gini")] for t in matrices}
+        for theta, (matrix_path, gini_path) in paths.items():
+            exposure.write_exposure_matrix(matrices[theta], matrix_path)
+            exposure.write_gini_series(ginis[theta], gini_path)
+        exposure.write_comparison(comparisons, out / f"compare.{fmt}")
+        exposure.write_rotation(correlations, out / f"rotation.{fmt}")
+        self.ws.prune("exposure", [*itertools.chain(*paths.values()), out / f"compare.{fmt}", out / f"rotation.{fmt}"])
         return matrices, ginis, comparisons, correlations
 
     @functools.cached_property
@@ -527,16 +536,12 @@ class Run:
         from . import shapley
 
         cfg, table, models, fmt, out = self.cfg, self.table, self.models, self.cfg.out_format, self.ws.out
-        stems = {name: [f"shap_values_{name}", f"shap_summary_{name}",
-                        *(f"shap_dependence_{name}_{feature}" for feature in MET_FEATURES)] for name in models}
-        outputs = {name: [_table_path(out, stem, fmt) for stem in stems[name]]
+        outputs = {name: [out / f"{stem}.{fmt}" for stem in (f"shap_values_{name}", f"shap_summary_{name}",
+                                                             *(f"shap_dependence_{name}_{f}" for f in MET_FEATURES))]
                    for name, (_, _, ensemble) in models.items() if ensemble is not None}
 
         def compute():
             summaries = {name: [] for name in models}  # a model not fitted has no attribution
-            for name in models.keys() - outputs.keys():
-                for path in (out / f"{stem}.{suffix}" for stem in stems[name] for suffix in FORMATS):
-                    path.unlink(missing_ok=True)
             for name in outputs:
                 _, _, ensemble = models[name]
                 X, _, keys = _model_rows(self.split[1], name)
@@ -547,10 +552,11 @@ class Run:
                 shapley.write_shap_summary(ranking, summary)
                 for feature, path in zip(MET_FEATURES, dependence):
                     shapley.write_shap_dependence(shapley.dependence(atts, feature), feature, path)
+            self.ws.prune("shap", [p for group in outputs.values() for p in group])
             return summaries
 
         parts = (out / "features.csv", *(out / f"model_{name}.json" for name in outputs), cfg.seed, fmt)
-        return self.ws.stage("shap", parts, lambda: [p for group in outputs.values() for p in group],
+        return self.ws.stage("shap", parts,
                              lambda: {name: shapley.read_shap_summary(outputs[name][1]) if name in outputs else []
                                       for name in models},
                              compute)
@@ -591,8 +597,8 @@ class Run:
             points = sorted(by_tract[tract].items())
             tract_series.append(validation.HourlySeries(key=tract, points=points))
             by_hour = [[v for hs, v in points if hs.hour == h] for h in range(24)]
-            profile = [float(np.mean(vals)) if vals else 0.0 for vals in by_hour]
-            diurnal[tract] = validation.classify_diurnal(profile).value
+            label = validation.classify_diurnal([float(np.mean(vals)) if vals else None for vals in by_hour])
+            diurnal[tract] = label and label.value
 
         def r2(a, b, transform=lambda values: values):
             """R^2 of two district series after ``transform``; None where it is undefined."""
@@ -664,7 +670,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    tops = {name: ranking[0][0] if ranking else None for name, ranking in Run(args).shap.items()}
+    run = Run(args)  # a model that keeps no tree ranks every feature at 0, and has no top feature
+    tops = {name: ranking[0][0] if ranking and run.models[name][1] else None for name, ranking in run.shap.items()}
     print(f"explain: top features {tops}")
     return 0
 
@@ -674,14 +681,6 @@ def cmd_explain(args) -> int:
 REPORT_INPUTS = ("weather", "tracts", "population", "spl", "nmts", "flights")
 
 
-def _report_artifacts(out: Path) -> list[Path]:
-    """The report's artifacts: every csv and json file in ``out`` but the
-    manifest and validate's findings.json. A table that a report would remove
-    is one of them, so it makes the report's entry stale."""
-    return sorted(p for p in out.glob("*") if p.suffix in (".csv", ".json") and p.is_file()
-                  and p.name not in ("manifest.json", "findings.json"))
-
-
 def cmd_report(args) -> int:
     cfg = _settings(args)
     ws = Workspace(cfg.out_dir)
@@ -689,8 +688,8 @@ def cmd_report(args) -> int:
     settings = {k: v for k, v in vars(cfg).items() if k not in ("in_dir", "out_dir")}
     parts = (*(cfg.in_dir / f"{stem}.csv" for stem in REPORT_INPUTS), settings)
     path = ws.out / "report.json"
-    report = ws.stage("report", parts, lambda: _report_artifacts(ws.out),
-                      lambda: json.loads(path.read_text(encoding="utf-8")), lambda: _report(Run(args, cfg=cfg, ws=ws)))
+    report = ws.stage("report", parts, lambda: json.loads(path.read_text(encoding="utf-8")),
+                      lambda: _report(Run(args, cfg=cfg, ws=ws)))
     print(f"report: wrote {path} ({len(report['exposure'])} thresholds, {len(report['rotation'])} terminal pairs)")
     return 0
 

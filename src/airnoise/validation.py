@@ -98,15 +98,18 @@ DAY_WINDOW = tuple(range(8, 18))                      # 08:00-18:00
 NIGHT_WINDOW = tuple(list(range(20, 24)) + list(range(0, 6)))  # 20:00-06:00
 
 
-def classify_diurnal(values: Sequence[float]) -> DiurnalClass:
+def classify_diurnal(values: Sequence[float | None]) -> DiurnalClass | None:
     """Label a 24-hour profile by where its population mass sits.
 
     DAYTIME_PEAK when the 08:00-18:00 mean exceeds the 20:00-06:00 mean by
     more than 10 % (relative), NIGHTTIME_PEAK for the reverse, FLAT
-    otherwise.
+    otherwise. None when an hour of either window has no value (None); the
+    hours outside both are not read.
     """
     if len(values) != 24:
         raise WrongLength(f"need 24 hourly values, got {len(values)}")
+    if any(values[h] is None for h in DAY_WINDOW + NIGHT_WINDOW):
+        return None
     day = float(np.mean([values[h] for h in DAY_WINDOW]))
     night = float(np.mean([values[h] for h in NIGHT_WINDOW]))
     if day > night * 1.1:

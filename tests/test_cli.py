@@ -958,6 +958,25 @@ def test_silent_terminal_keeps_its_rotation_pairs(small_bundle, tmp_path):
     assert [(a, b, r == "") for a, b, r in rows] == [(*pair, "NMT5" in pair) for pair in pairs]
 
 
+def test_rotation_pairs_are_the_pairs_of_nmts_csv(small_bundle, tmp_path, capsys):
+    """A terminal that spl.csv names and nmts.csv lacks (NMT9, NMT1's samples
+    again) is levelled in hourly_laeq.csv but has no rotation pair: every
+    exposure table is the clean bundle's."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    lines = (bundle / "spl.csv").read_bytes().splitlines(keepends=True)
+    with open(bundle / "spl.csv", "ab") as fh:
+        fh.write(b"".join(b"NMT9" + line[4:] for line in lines if line.startswith(b"NMT1,")))
+    capsys.readouterr()
+    for name, source in (("clean", small_bundle), ("nmt9", bundle)):
+        assert main(["exposure", "--in", str(source), "--out", str(tmp_path / name)]) == 0
+    clean, nmt9 = capsys.readouterr().out.splitlines()
+    assert nmt9 == clean and clean.endswith(", 10 terminal pairs")
+    assert "NMT9" in {h.nmt_id for h in acoustics.read_hourly_laeq(tmp_path / "nmt9" / "hourly_laeq.csv")}
+    ws = cli.Workspace(tmp_path / "clean")
+    assert ws.owned("exposure") and all(
+        p.read_bytes() == (tmp_path / "nmt9" / p.name).read_bytes() for p in ws.owned("exposure"))
+
+
 # one hour: the held-out part of the seed-11 table holds no take-off row
 SHORT_WINDOW = ("--window-start", "2023-01-01T00:00", "--window-end", "2023-01-01T01:00")
 UNFITTED_FACTS = {"rounds_run": 0, "trees_kept": 0, "train_mae": None, "train_rmse": None,
@@ -1017,6 +1036,19 @@ def test_train_prints_null_for_a_model_that_keeps_no_tree(small_bundle, tmp_path
     assert [(m["rounds_run"] > 0, m["test_mae"]) for m in models.values()] == [(True, None), (True, None)]
 
 
+def test_explain_names_no_top_feature_for_a_model_that_keeps_no_tree(small_bundle, tmp_path, capsys):
+    """Over 4 hours both models keep no tree: their summaries rank every
+    feature at 0, and explain names no top feature for either."""
+    window = ("--window-start", "2023-01-01T00:00", "--window-end", "2023-01-01T04:00")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["explain", "--in", str(small_bundle), "--out", str(out), "--seed", "11", *window]) == 0
+    assert capsys.readouterr().out == "explain: top features {'takeoff': None, 'landing': None}\n"
+    for name in cli.MODEL_TARGETS:
+        summary = shapley.read_shap_summary(out / f"shap_summary_{name}.csv")
+        assert len(summary) == 22 and {value for _, value in summary} == {0.0}
+
+
 def _rows_before(path, hour):
     """The rows of a csv table before ``hour``: those of a table with an
     hour_start column, else the columns of an exposure matrix."""
@@ -1067,6 +1099,36 @@ def test_validation_reads_only_the_window(small_bundle, tmp_path):
     assert validation[bundle.name] == validation[small_bundle.name]
     labelled = {row[1] for row in csv.reader(validation[bundle.name].decode().splitlines()) if row[0] == "diurnal"}
     assert labelled == {p.tract_id for p in population}
+
+
+@pytest.mark.parametrize("window,gap,unlabelled", [
+    (("2023-01-01T06:00", "2023-01-01T10:00"), None, None),
+    (("2023-01-01T04:00", "2023-01-02T03:00"), None, None),
+    (("2023-01-01T08:00", "2023-01-02T06:00"), None, ()),
+    ((), (b"S02,", b"T03:00,"), ("S02",)),
+], ids=["4-hours", "no-03:00", "no-06:00-or-07:00", "S02-without-03:00"])
+def test_diurnal_label_needs_every_hour_it_averages(quick, small_bundle, tmp_path, window, gap, unlabelled):
+    """A tract's diurnal label is null (an empty cell in validation.csv) when
+    its window has no population row at some hour that the label averages
+    (08-18 and 20-06); the hours 06:00 and 07:00, which no label reads, may
+    be absent. ``gap`` drops the rows of one tract at one hour of every day:
+    S02 has no terminal, so no other stage needs them. ``unlabelled`` None
+    means every tract."""
+    truth = json.loads((small_bundle / "ground_truth.json").read_text())["diurnal"]
+    bundle = small_bundle
+    if gap:
+        bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+        lines = (bundle / "population.csv").read_bytes().splitlines(keepends=True)
+        (bundle / "population.csv").write_bytes(
+            b"".join(line for line in lines if not (line.startswith(gap[0]) and gap[1] in line)))
+    flags = ("--window-start", window[0], "--window-end", window[1]) if window else ()
+    out = tmp_path / "out"
+    assert quick.report(out, *flags, bundle=bundle) == 0
+    expected = {t: None if unlabelled is None or t in unlabelled else label for t, label in truth.items()}
+    assert json.loads((out / "report.json").read_text())["validation"]["diurnal"] == expected
+    with open(out / "validation.csv", newline="", encoding="utf-8") as fh:
+        labels = {key: value for kind, key, value in csv.reader(fh) if kind == "diurnal"}
+    assert labels == {tract: label or "" for tract, label in expected.items()}
 
 
 def test_combo_columns_rank_only_the_windows_flights(small_bundle, tmp_path):
@@ -1439,6 +1501,7 @@ MISSES = {
     "stray-threshold": (_copy("exposure_65.csv", "exposure_60.csv"), ()),
     "stray-gini-json": (_copy("gini_65.csv", "gini_60.json"), ()),
     "other-format": (_copy("compare.csv", "compare.json"), ()),
+    "stray-shap-json": (_copy("shap_summary_takeoff.csv", "shap_summary_takeoff.json"), ()),
 }
 
 
@@ -1455,6 +1518,33 @@ def test_stale_report_entry_is_a_miss_that_a_fresh_run_equals(quick, day_bundle,
     assert quick.report(tmp_path / "fresh", *flags, bundle=bundle) == 0
     assert _artifacts(out) == _artifacts(tmp_path / "fresh")
     assert _hit(quick, out, writes, *flags, bundle=bundle)
+
+
+def test_foreign_file_is_left_alone_and_recorded_by_no_entry(quick, tmp_path, writes):
+    """A file that no stage owns leaves a report that hit a hit, and a report
+    that misses neither removes it nor records it."""
+    out = tmp_path / "out"
+    shutil.copytree(quick.out, out)
+    (out / "notes.csv").write_text("note\n")
+    assert _hit(quick, out, writes)
+    assert not _hit(quick, out, writes, "--theta", "60")
+    assert (out / "notes.csv").read_text() == "note\n"
+    assert "notes.csv" not in (out / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_every_file_a_run_writes_has_one_owner(quick, day_bundle, tmp_path, fmt):
+    """Every file that validate and then report write into an empty --out is
+    owned by exactly one stage, but manifest.json and findings.json; the
+    report's entry records every owned file."""
+    out = tmp_path / "out"
+    assert main(["validate", "--in", str(day_bundle), "--out", str(out)]) == 0
+    assert quick.report(out, "--format", fmt) == 0
+    ws = cli.Workspace(out)
+    owners = collections.Counter(p.name for stage in cli.OWNED for p in ws.owned(stage))
+    assert set(owners.values()) == {1}
+    assert sorted(owners) == sorted(p.name for p in out.iterdir() if p.name not in ("manifest.json", "findings.json"))
+    assert (out / "findings.json").exists() and ws.manifest["report"]["outputs"].keys() == owners.keys()
 
 
 def test_shuffled_rows_change_no_artifact(small_bundle, small_report, primed, tmp_path, writes):

@@ -178,3 +178,13 @@ def test_diurnal_margin_boundary():
 def test_diurnal_wrong_length():
     with pytest.raises(WrongLength):
         classify_diurnal([1.0] * 23)
+
+
+@pytest.mark.parametrize("hour,label", [(3, None), (8, None), (20, None), (6, DiurnalClass.FLAT),
+                                        (19, DiurnalClass.FLAT)])
+def test_diurnal_without_a_value_at_an_averaged_hour(hour, label):
+    """An hour of the day or night window with no value leaves no label; the
+    hours outside both are not read."""
+    values = [100.0] * 24
+    values[hour] = None
+    assert classify_diurnal(values) is label
