@@ -59,4 +59,4 @@ def test_shapley_batch(benchmark, explained, name):
 @pytest.mark.parametrize("theta", THRESHOLDS)
 def test_gini_series(benchmark, matrices, theta):
     series = benchmark(exposure.gini_series, matrices[theta])
-    assert len(series.entries) == len(matrices[theta].hours)
+    assert len(series) == len(matrices[theta].hours)

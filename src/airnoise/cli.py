@@ -8,17 +8,18 @@ The seven subcommands but synth are each one `Run`, whose inputs and stages
 are cached properties. A subcommand reads the stage it wants, and a stage
 reads the inputs and stages it needs, so stages run in the order they are
 first read, each input is parsed once, and each stage runs or is read back at
-most once per command. The study window is pinned first, for every command
-but laeq. The stages laeq, fused, features, models and shap are cached: a
-stage whose parameters, input files, code and outputs still match its entry in
-the content-hash manifest (`manifest.json` under --out) reads its outputs back,
-and any other stage recomputes them, with identical results either way (see
-`Workspace`). Findings (validate) always recompute, and so do exposure and
-validation unless the whole report is up to date: report is one more cached
-stage, keyed on the six input files, every setting but --in and --out, and the
-code. When its entry still matches every file it owns, report makes no
-`Run`, reads back only report.json for its summary line, and writes nothing,
-not even the manifest.
+most once per command. A window given in full is checked as the settings are
+resolved, for every command, and the study window is pinned first, for every
+command but laeq. The stages laeq, fused, features, models and shap are
+cached: a stage whose parameters, input files, code and outputs still match
+its entry in the content-hash manifest (`manifest.json` under --out) reads its
+outputs back, and any other stage recomputes them, with identical results
+either way (see `Workspace`). Findings (validate) always recompute, and so do
+exposure and validation unless the whole report is up to date: report is one
+more cached stage, keyed on the six input files, every setting but --in and
+--out, and the code. When its entry still matches every file it owns, report
+makes no `Run`, reads back only report.json for its summary line, and writes
+nothing, not even the manifest.
 
 Each layer module writes its own tables through `tables.write`, which picks
 csv or json from the file's suffix. Every artifact, the manifest and
@@ -185,7 +186,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The config file's values, overridden by every flag given. A flag's dest
     is its key's RunConfig field, and its text goes through the key's
     converter, as the file's does; the values of a repeated flag (--theta) are
-    joined with commas first."""
+    joined with commas first. A window given in full must not be empty,
+    whether or not the command reads it."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **load_config_file(Path(args.config)))
@@ -199,21 +201,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if any(math.isnan(v) for v in (cfg.retention_dba, *cfg.thresholds)):
         raise UsageError("retention_dba and theta must not be NaN")
+    if cfg.window_start is not None and cfg.window_end is not None:
+        _check_window(cfg.window_start, cfg.window_end)
     return replace(cfg, thresholds=tuple(sorted(set(cfg.thresholds))))
 
 
 def _check_window(start: datetime, end: datetime) -> None:
     if start >= end:
         raise UsageError(f"empty study window: start {tables.hour(start)} is not before end {tables.hour(end)}")
-
-
-def _settings(args: argparse.Namespace, pin_window: bool = True) -> RunConfig:
-    """``resolve_config(args)``, with a study window given in full checked
-    before any input is read, unless the command needs no window."""
-    cfg = resolve_config(args)
-    if pin_window and cfg.window_start is not None and cfg.window_end is not None:
-        _check_window(cfg.window_start, cfg.window_end)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +382,12 @@ class Run:
     module docstring). A cached stage reads the stages it depends on before it
     takes its digest, which covers the files they wrote. A window bound not
     given is inferred from weather coverage; an empty window is a usage error.
-    ``laeq`` needs no window: it passes ``pin_window=False`` and never reads
-    weather.csv. A run of report takes the report stage's ``cfg``, resolved
-    and checked by ``_settings``, and its ``ws``."""
+    ``laeq`` needs no window: it passes ``pin_window=False``, infers none and
+    never reads weather.csv. A run of report takes the report stage's ``cfg``
+    and ``ws``."""
 
     def __init__(self, args, pin_window: bool = True, cfg: RunConfig | None = None, ws: Workspace | None = None):
-        self.cfg = cfg = cfg if cfg is not None else _settings(args, pin_window)
+        self.cfg = cfg = cfg if cfg is not None else resolve_config(args)
         # before any stage digest, so that an inferred window is part of every cache key
         if pin_window and (cfg.window_start is None or cfg.window_end is None):
             if not self.weather:
@@ -579,37 +574,41 @@ class Run:
         written to validation.csv.
 
         Works from the raw population stream, in the window, so that tracts
-        with no terminal are covered too.
+        with no terminal are covered too. A pair's R^2 reads the hours both
+        districts have (`validation.aggregate_to_district`); its hour-over-hour
+        R^2 is None when those hours have a gap.
         """
         import numpy as np
 
         from . import validation
 
-        district_of = {t.tract_id: t.district_id for t in self.tracts}
         by_tract: dict[str, dict[datetime, float]] = {}
         for p in self.population:
             if self.cfg.window_start <= p.hour_start < self.cfg.window_end:
                 by_tract.setdefault(p.tract_id, {})[p.hour_start] = p.defacto_count
 
         diurnal = {}
-        tract_series = []
-        for tract in sorted(by_tract):
-            points = sorted(by_tract[tract].items())
-            tract_series.append(validation.HourlySeries(key=tract, points=points))
+        for tract, counts in sorted(by_tract.items()):
+            points = sorted(counts.items())
             by_hour = [[v for hs, v in points if hs.hour == h] for h in range(24)]
             label = validation.classify_diurnal([float(np.mean(vals)) if vals else None for vals in by_hour])
             diurnal[tract] = label and label.value
 
-        def r2(a, b, transform=lambda values: values):
-            """R^2 of two district series after ``transform``; None where it is undefined."""
+        def r2(xs, ys, transform=lambda values: values):
+            """R^2 of two series after ``transform``; None where it is undefined."""
             try:
-                return validation.r_squared(transform(a.values()), transform(b.values()))
+                return validation.r_squared(transform(xs), transform(ys))
             except AirnoiseError:
                 return None
 
-        district_series = validation.aggregate_to_district(tract_series, district_of)
-        pairs = [{"a": a.key, "b": b.key, "r2_absolute": r2(a, b), "r2_pct_change": r2(a, b, validation.pct_change)}
-                 for i, a in enumerate(district_series) for b in district_series[i + 1:]]
+        districts = validation.aggregate_to_district(by_tract, {t.tract_id: t.district_id for t in self.tracts})
+        pairs = []
+        for (a, totals_a), (b, totals_b) in itertools.combinations(districts.items(), 2):
+            shared = sorted(totals_a.keys() & totals_b.keys())
+            xs, ys = [totals_a[h] for h in shared], [totals_b[h] for h in shared]
+            gapless = all(later - hour == timedelta(hours=1) for hour, later in zip(shared, shared[1:]))
+            pairs.append({"a": a, "b": b, "r2_absolute": r2(xs, ys),
+                          "r2_pct_change": r2(xs, ys, validation.pct_change) if gapless else None})
         rows = [("diurnal", tract, label) for tract, label in sorted(diurnal.items())]
         for pair in pairs:
             key = f"{pair['a']}|{pair['b']}"
@@ -682,7 +681,7 @@ REPORT_INPUTS = ("weather", "tracts", "population", "spl", "nmts", "flights")
 
 
 def cmd_report(args) -> int:
-    cfg = _settings(args)
+    cfg = resolve_config(args)
     ws = Workspace(cfg.out_dir)
     # every setting with the window as given: weather.csv stands in for an inferred one
     settings = {k: v for k, v in vars(cfg).items() if k not in ("in_dir", "out_dir")}
@@ -717,12 +716,12 @@ def _report(run: Run) -> dict:
         "exposure": {
             exposure.theta_tag(t): {
                 "hours": [tables.hour(h) for h in m.hours],
-                "hourly_total": [e.exposed_total for e in ginis[t].entries],
+                "hourly_total": [e.exposed_total for e in ginis[t]],
             }
             for t, m in matrices.items()
         },
-        "gini": {exposure.theta_tag(t): [{**asdict(e), "hour": tables.hour(e.hour)} for e in s.entries]
-                 for t, s in ginis.items()},
+        "gini": {exposure.theta_tag(t): [{**asdict(e), "hour": tables.hour(e.hour)} for e in entries]
+                 for t, entries in ginis.items()},
         "comparison": {exposure.theta_tag(t): [{**r, "hour": tables.hour(r["hour"])} for r in rows]
                        for t, rows in comparisons.items()},
         "rotation": [{"nmt_a": a, "nmt_b": b, "correlation": r} for (a, b), r in sorted(correlations.items())],

@@ -4,7 +4,8 @@ A tract-hour counts as exposed when its measured level strictly exceeds the
 threshold; an absent level counts as not exposed (hours below the retention
 cut carry no measured burden). Inequality across tracts is summarized per
 hour with the Gini coefficient, which is undefined (and serialized as null)
-whenever mean exposure is zero.
+whenever mean exposure is zero. A matrix holds the counts of one threshold on
+one population basis; a Gini series is a plain list, one entry per hour.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class ExposureMatrix:
     tract_ids: list[str]
     hours: list[datetime]
     cells: np.ndarray  # shape (len(tract_ids), len(hours))
-    basis: str = BASIS_DEFACTO
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,12 +41,6 @@ class GiniEntry:
     gini: float | None
     exposed_total: float
     mean_exposure: float
-
-
-@dataclass(frozen=True)
-class GiniSeries:
-    theta: float
-    entries: list[GiniEntry]
 
 
 def exposed(record: TractHourRecord, theta: float, basis: str = BASIS_DEFACTO) -> float:
@@ -73,7 +67,7 @@ def exposure_matrix(
     cells = np.zeros((len(tract_ids), len(hours)))
     for r in records:
         cells[t_index[r.tract_id], h_index[r.hour_start]] = exposed(r, theta, basis)
-    return ExposureMatrix(theta=theta, tract_ids=tract_ids, hours=hours, cells=cells, basis=basis)
+    return ExposureMatrix(theta=theta, tract_ids=tract_ids, hours=hours, cells=cells)
 
 
 def exposure_matrices(
@@ -123,8 +117,9 @@ def gini_pairwise(values: Sequence[float]) -> float | None:
     return float(np.abs(v[:, None] - v[None, :]).sum()) / (2.0 * v.size * total)
 
 
-def gini_series(matrix: ExposureMatrix) -> GiniSeries:
-    """Per-hour Gini over the tract dimension plus exposure totals."""
+def gini_series(matrix: ExposureMatrix) -> list[GiniEntry]:
+    """Per-hour Gini over the tract dimension plus exposure totals, one entry
+    per hour of ``matrix``."""
     entries = []
     for j, hour in enumerate(matrix.hours):
         column = matrix.cells[:, j]
@@ -136,7 +131,7 @@ def gini_series(matrix: ExposureMatrix) -> GiniSeries:
             exposed_total=total,
             mean_exposure=mu,
         ))
-    return GiniSeries(theta=matrix.theta, entries=entries)
+    return entries
 
 
 def compare_bases(defacto: ExposureMatrix, residential: ExposureMatrix) -> list[dict]:
@@ -216,10 +211,10 @@ def write_exposure_matrix(matrix: ExposureMatrix, path) -> None:
                  ([tract, *cells] for tract, cells in zip(matrix.tract_ids, matrix.cells.tolist())))
 
 
-def write_gini_series(series: GiniSeries, path) -> None:
+def write_gini_series(entries: Sequence[GiniEntry], path) -> None:
     """gini_{theta}; an undefined Gini is an empty field (null), never 0 or NaN."""
     tables.write(path, ("hour_start", "gini", "exposed_total", "mean_exposure"), (
-        (tables.hour(e.hour), e.gini, e.exposed_total, e.mean_exposure) for e in series.entries
+        (tables.hour(e.hour), e.gini, e.exposed_total, e.mean_exposure) for e in entries
     ))
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,11 +72,7 @@ class Attribution:
 
 
 def _row_values(ensemble: Ensemble, row) -> np.ndarray:
-    if isinstance(row, Mapping):
-        try:
-            return np.array([float(row[name]) for name in ensemble.feature_names])
-        except KeyError as exc:
-            raise UnknownFeature(exc.args[0]) from None
+    """``row`` as an array of one value per feature of ``ensemble``."""
     values = np.asarray(row, dtype=np.float64)
     if values.shape != (len(ensemble.feature_names),):
         raise UnknownFeature(f"row must carry {len(ensemble.feature_names)} feature values")

@@ -1,11 +1,13 @@
 """Cross-dataset validation utilities: district aggregation, agreement
 coefficients, hour-over-hour changes and diurnal-profile classification.
+
+Counts are plain values: a tract's or a district's counts are a mapping from
+hour to count, in which a missing hour is an unknown count, never 0.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,41 +21,28 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class HourlySeries:
-    """An ordered (hour, value) series keyed by tract or district id."""
-
-    key: str
-    points: list[tuple[object, float]]
-
-    def __post_init__(self):
-        hours = [h for h, _ in self.points]
-        if any(b <= a for a, b in zip(hours, hours[1:])):
-            raise ValueError(f"hours of series {self.key!r} must be strictly increasing")
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
-
-
 def aggregate_to_district(
-    series: Sequence[HourlySeries],
+    by_tract: Mapping[str, Mapping[object, float]],
     district_of: Mapping[str, str],
-) -> list[HourlySeries]:
-    """Sum tract series into per-district series (hour by hour).
+) -> dict[str, dict[object, float]]:
+    """Sum tract counts into district counts, hour by hour: ``{district:
+    {hour: total}}``, districts and hours sorted.
 
-    Every input key must be mapped; totals are conserved per hour.
+    Every district of ``district_of`` is in the result, and has an hour only
+    when each of its tracts has a count at that hour: a missing count is
+    unknown, not 0. Every tract of ``by_tract`` must be mapped.
     """
-    sums: dict[str, dict[object, float]] = {}
-    for s in series:
-        if s.key not in district_of:
-            raise UnmappedTract(f"tract {s.key!r} has no district")
-        acc = sums.setdefault(district_of[s.key], {})
-        for hour, value in s.points:
-            acc[hour] = acc.get(hour, 0.0) + value
-    return [
-        HourlySeries(key=district, points=sorted(acc.items()))
-        for district, acc in sorted(sums.items())
-    ]
+    for tract in sorted(by_tract):
+        if tract not in district_of:
+            raise UnmappedTract(f"tract {tract!r} has no district")
+    members: dict[str, list[str]] = {}
+    for tract, district in sorted(district_of.items()):
+        members.setdefault(district, []).append(tract)
+    out = {}
+    for district, tracts in sorted(members.items()):
+        hours = set.intersection(*(set(by_tract.get(t, ())) for t in tracts))
+        out[district] = {h: sum(by_tract[t][h] for t in tracts) for h in sorted(hours)}
+    return out
 
 
 def r_squared(a: Sequence[float], b: Sequence[float]) -> float:

@@ -408,20 +408,17 @@ def test_criterion_7_population_basis(month, month_records):
 
 def test_criterion_8_validation(month):
     t0 = time.time()
-    from airnoise.validation import HourlySeries, aggregate_to_district, r_squared
+    from airnoise.validation import aggregate_to_district, r_squared
 
     bundle, _ = month
 
     # district aggregation conserves hourly totals exactly (integer case)
     rng = np.random.default_rng(808)
-    series = [
-        HourlySeries(key=f"T{i}", points=[(h, float(rng.integers(0, 1000))) for h in range(24)])
-        for i in range(8)
-    ]
+    series = {f"T{i}": {h: float(rng.integers(0, 1000)) for h in range(24)} for i in range(8)}
     mapping = {f"T{i}": f"D{i % 3}" for i in range(8)}
     districts = aggregate_to_district(series, mapping)
     for h in range(24):
-        assert sum(s.points[h][1] for s in districts) == sum(s.points[h][1] for s in series)
+        assert sum(s[h] for s in districts.values()) == sum(s[h] for s in series.values())
 
     # affine agreement
     a = [float(v) for v in rng.uniform(10.0, 100.0, 48)]

@@ -92,7 +92,7 @@ def test_theta_sorted_and_deduplicated():
 
 def test_config_file_and_flag_precedence(tmp_path):
     conf = tmp_path / "run.conf"
-    conf.write_text("seed = 9\nretention_dba = 55.0  # lower cut\ntheta = 60,75\n")
+    conf.write_text("seed = 9\n\n   \n# a comment line\nretention_dba = 55.0  # lower cut\ntheta = 60,75\n")
     parser = build_parser()
     args = parser.parse_args(["laeq", "--config", str(conf), "--seed", "4"])
     cfg = resolve_config(args)
@@ -307,6 +307,23 @@ def test_laeq_recomputes_torn_cache(small_bundle, tmp_path, keep):
     assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
     assert path.read_bytes() == whole
     assert sorted(p.name for p in out.iterdir()) == ["hourly_laeq.csv", "manifest.json"]
+
+
+def test_torn_artifact_whose_hash_matches_is_recomputed(small_bundle, tmp_path):
+    """A laeq entry that records the hash of a torn hourly_laeq.csv passes the
+    hash check, but reading the table back fails: the stage recomputes, and
+    its --out equals a fresh run's."""
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
+    path = out / "hourly_laeq.csv"
+    text = path.read_text()
+    path.write_text(text[:text.rindex(",") - 2] + "\n")  # a last row without its fields
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["laeq"]["outputs"]["hourly_laeq.csv"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(out)]) == 0
+    assert main(["laeq", "--in", str(small_bundle), "--out", str(fresh)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {p.name: p.read_bytes() for p in fresh.iterdir()}
 
 
 def _copy_bundle(src, dest):
@@ -866,7 +883,10 @@ def test_missing_config_file_exits_2_with_one_line(small_bundle, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {conf}: cannot read config file: No such file or directory\n"
 
 
-@pytest.mark.parametrize("command,first_read", [("validate", "weather.csv"), ("report", "weather.csv")])
+@pytest.mark.parametrize("command,first_read", [("validate", "weather.csv"), ("report", "weather.csv"),
+                                                ("laeq", "spl.csv"), ("fuse", "weather.csv"),
+                                                ("exposure", "weather.csv"), ("train", "weather.csv"),
+                                                ("explain", "weather.csv")])
 def test_missing_input_exits_1_with_one_line(tmp_path, capsys, command, first_read):
     missing = tmp_path / "nonexistent"
     capsys.readouterr()
@@ -910,6 +930,20 @@ def test_empty_window_exits_2(small_bundle, tmp_path, capsys, command, flags, st
     capsys.readouterr()
     assert main([command, "--in", str(small_bundle), "--out", str(tmp_path / "out"), *flags]) == 2
     assert capsys.readouterr().err == f"error: empty study window: start {start} is not before end {end}\n"
+
+
+@pytest.mark.parametrize("command", ["laeq", "synth"])
+def test_empty_window_given_in_full_exits_2_for_a_command_that_reads_none(small_bundle, tmp_path, capsys, command):
+    """laeq and synth read no window, but an empty one given in full is still
+    a usage error, reported before anything is read or written."""
+    out = tmp_path / "out"
+    source = ("--days", "1") if command == "synth" else ("--in", str(small_bundle))
+    capsys.readouterr()
+    assert main([command, *source, "--out", str(out),
+                 "--window-start", "2023-01-02T00:00", "--window-end", "2023-01-01T00:00"]) == 2
+    assert capsys.readouterr().err == ("error: empty study window: "
+                                       "start 2023-01-02T00:00 is not before end 2023-01-01T00:00\n")
+    assert not out.exists()
 
 
 def test_rotation_follows_the_window(small_bundle, tmp_path):
@@ -1129,6 +1163,26 @@ def test_diurnal_label_needs_every_hour_it_averages(quick, small_bundle, tmp_pat
     with open(out / "validation.csv", newline="", encoding="utf-8") as fh:
         labels = {key: value for kind, key, value in csv.reader(fh) if kind == "diurnal"}
     assert labels == {tract: label or "" for tract, label in expected.items()}
+
+
+def test_district_r2_reads_only_the_hours_every_tract_has(quick, small_bundle, tmp_path):
+    """A tract-hour with no population row is unknown, not 0 people, so its
+    district lacks that hour. Without tract S02's 03:00 rows (S02 has no
+    terminal, so no other stage needs them), the district pair's R^2 over the
+    hours both districts have equals the whole bundle's, and its
+    hour-over-hour R^2, whose changes would span the gaps, is null."""
+    bundle = _copy_bundle(small_bundle, tmp_path / "bundle")
+    lines = (bundle / "population.csv").read_bytes().splitlines(keepends=True)
+    (bundle / "population.csv").write_bytes(
+        b"".join(line for line in lines if not (line.startswith(b"S02,") and b"T03:00," in line)))
+    pairs = {}
+    for name, data in (("clean", small_bundle), ("gap", bundle)):
+        assert quick.report(tmp_path / name, bundle=data) == 0
+        pairs[name] = json.loads((tmp_path / name / "report.json").read_text())["validation"]["district_r2"]
+    (clean,), (gap,) = pairs["clean"], pairs["gap"]
+    assert (gap["a"], gap["b"]) == (clean["a"], clean["b"]) == ("downtown", "perimeter")
+    assert gap["r2_absolute"] == pytest.approx(clean["r2_absolute"], abs=1e-9)
+    assert clean["r2_pct_change"] is not None and gap["r2_pct_change"] is None
 
 
 def test_combo_columns_rank_only_the_windows_flights(small_bundle, tmp_path):

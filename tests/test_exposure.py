@@ -163,22 +163,22 @@ def test_gini_upper_bound_iff_single_nonzero():
 def test_gini_series_zero_matrix():
     m = exposure_matrix(_grid_records(), 80.0)
     s = gini_series(m)
-    assert all(e.gini is None for e in s.entries)
-    assert all(e.exposed_total == 0.0 for e in s.entries)
+    assert all(e.gini is None for e in s)
+    assert all(e.exposed_total == 0.0 for e in s)
 
 
 def test_gini_series_single_tract():
     recs = [_rec("T1", j, 100.0, 80.0) for j in range(3)]
     s = gini_series(exposure_matrix(recs, 70.0))
-    assert [e.gini for e in s.entries] == [0.0, 0.0, 0.0]
+    assert [e.gini for e in s] == [0.0, 0.0, 0.0]
 
 
 def test_gini_series_permutation_invariant():
     recs = _grid_records()
     s1 = gini_series(exposure_matrix(recs, 65.0))
     s2 = gini_series(exposure_matrix(list(reversed(recs)), 65.0))
-    assert [e.gini for e in s1.entries] == [e.gini for e in s2.entries]
-    assert [e.exposed_total for e in s1.entries] == [e.exposed_total for e in s2.entries]
+    assert [e.gini for e in s1] == [e.gini for e in s2]
+    assert [e.exposed_total for e in s1] == [e.exposed_total for e in s2]
 
 
 # --- compare_bases -------------------------------------------------------------------

@@ -457,6 +457,17 @@ def test_serialization_deterministic():
     assert run() == run()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: {**doc, "format": "other"}, "not an airnoise model document"),
+    (lambda doc: {**doc, "trees": [doc["trees"][0] + [{"leaf": 0.0}]]}, "trailing nodes in serialized tree"),
+], ids=["foreign-format", "trailing-node"])
+def test_from_json_rejects_a_foreign_document_or_a_tree_with_trailing_nodes(edit, message):
+    ens = Ensemble(base_score=1.0, learning_rate=0.05, trees=[_stump()], feature_names=["x"])
+    text = json.dumps(edit(json.loads(to_json(ens))))
+    with pytest.raises(InvalidConfig, match=message):
+        from_json(text)
+
+
 def test_serialized_document_shape():
     ens = Ensemble(base_score=1.0, learning_rate=0.05, trees=[_stump()], feature_names=["x"])
     doc = json.loads(to_json(ens))

@@ -83,6 +83,17 @@ def test_torn_csv_raises_malformed_row(tmp_path, torn):
         tables.read(path, HEADER)
 
 
+@pytest.mark.parametrize("row,line", [("d,2023-01-01T08:00,0.5\n", 5), ('d,"2023-01-01T08:00,0.5,1\n', 5)],
+                         ids=["missing-field", "open-quote"])
+def test_row_without_its_fields_or_with_an_open_quote_raises_malformed_row(tmp_path, row, line):
+    path = tmp_path / "t.csv"
+    tables.write(path, HEADER, ROWS)
+    path.write_text(path.read_text(encoding="utf-8") + row, encoding="utf-8")
+    with pytest.raises(MalformedRow) as info:
+        tables.read(path, HEADER)
+    assert info.value.line == line
+
+
 @pytest.mark.parametrize("text", ["[{\"name\": \"a\"", "{}", "[{\"name\": \"a\"}]", "[1]"],
                          ids=["torn", "not-an-array", "missing-keys", "not-a-record"])
 def test_foreign_json_raises_malformed_row(tmp_path, text):

@@ -11,7 +11,6 @@ from airnoise.errors import (
 )
 from airnoise.validation import (
     DiurnalClass,
-    HourlySeries,
     aggregate_to_district,
     classify_diurnal,
     pct_change,
@@ -19,46 +18,50 @@ from airnoise.validation import (
 )
 
 
-def _series(key, values):
-    return HourlySeries(key=key, points=[(h, v) for h, v in enumerate(values)])
+def _series(values):
+    """An hour map: hour index -> count."""
+    return dict(enumerate(values))
 
 
 # --- aggregation ---------------------------------------------------------------
 
 def test_aggregate_sums_per_hour():
     out = aggregate_to_district(
-        [_series("T1", [10, 20]), _series("T2", [5, 5])],
+        {"T1": _series([10, 20]), "T2": _series([5, 5])},
         {"T1": "D1", "T2": "D1"},
     )
-    assert len(out) == 1
-    assert out[0].key == "D1"
-    assert out[0].values() == [15, 25]
+    assert out == {"D1": {0: 15, 1: 25}}
 
 
 def test_aggregate_single_tract_identity():
-    out = aggregate_to_district([_series("T1", [7, 8, 9])], {"T1": "D9"})
-    assert out[0].values() == [7, 8, 9]
+    out = aggregate_to_district({"T1": _series([7, 8, 9])}, {"T1": "D9"})
+    assert list(out["D9"].values()) == [7, 8, 9]
 
 
 def test_aggregate_unmapped_tract():
     with pytest.raises(UnmappedTract):
-        aggregate_to_district([_series("T1", [1])], {})
+        aggregate_to_district({"T1": _series([1])}, {})
 
 
 def test_aggregate_conserves_totals():
     rng = np.random.default_rng(5)
-    series = [_series(f"T{i}", rng.uniform(0, 100, 24).tolist()) for i in range(6)]
+    series = {f"T{i}": _series(rng.uniform(0, 100, 24).tolist()) for i in range(6)}
     mapping = {f"T{i}": f"D{i % 2}" for i in range(6)}
     out = aggregate_to_district(series, mapping)
     for h in range(24):
-        total_in = sum(s.points[h][1] for s in series)
-        total_out = sum(s.points[h][1] for s in out)
+        total_in = sum(s[h] for s in series.values())
+        total_out = sum(s[h] for s in out.values())
         assert total_out == pytest.approx(total_in, abs=1e-9)
 
 
-def test_series_hours_strictly_increasing():
-    with pytest.raises(ValueError):
-        HourlySeries(key="T1", points=[(2, 1.0), (1, 2.0)])
+def test_aggregate_keeps_only_the_hours_every_tract_has():
+    """A missing tract count is unknown, not 0: its district lacks that hour,
+    and a district with a tract that has no count has no hour at all."""
+    out = aggregate_to_district(
+        {"T1": _series([1.0, 2.0, 3.0]), "T2": {0: 5.0, 2: 5.0}, "T4": _series([4.0, 4.0, 4.0])},
+        {"T1": "D1", "T2": "D1", "T3": "D2", "T4": "D2"},
+    )
+    assert out == {"D1": {0: 6.0, 2: 8.0}, "D2": {}}
 
 
 # --- r_squared -------------------------------------------------------------------
